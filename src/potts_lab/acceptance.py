@@ -148,7 +148,7 @@ def criterion_5() -> CriterionResult:
     worst = 0.0
     checked = 0
     for n in (2, 4):
-        pairings = [list(g.edges) for g in graphs.enumerate_pairings(n, 3)]
+        pairings = [g.edges for g in graphs.enumerate_pairings(n, 3)]
         for q in (2, 3):
             states = graphs.all_colorings(n, q)
             counts_key = [
@@ -312,15 +312,14 @@ def annealed_log_partition(g, q: int, B: float, n_chains: int, n_temps: int, see
     """ln Z estimate by annealed importance sampling along a geometric activity
     ladder, with one Swendsen-Wang update per rung."""
     rng = swsim.chain_rng(seed)
-    u, v, loops = swsim._edge_arrays(g)
     ladder = np.exp(np.linspace(0.0, math.log(B), n_temps + 1))
     log_w = np.zeros(n_chains)
     for c in range(n_chains):
         colors = rng.integers(0, q, size=g.n)
+        state = swsim.SWState(colors=colors, mono_edges=swsim.mono_edge_count(g, colors))
         for k in range(n_temps):
-            mono = int(np.count_nonzero(colors[u] == colors[v])) + loops
-            log_w[c] += mono * (math.log(ladder[k + 1]) - math.log(ladder[k]))
-            colors, _ = swsim._step_arrays(u, v, loops, g.n, q, float(ladder[k + 1]), colors, rng)
+            log_w[c] += state.mono_edges * (math.log(ladder[k + 1]) - math.log(ladder[k]))
+            state = swsim.sw_step(g, q, float(ladder[k + 1]), state, rng)
     m = log_w.max()
     return g.n * math.log(q) + m + math.log(np.mean(np.exp(log_w - m)))
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,7 +94,11 @@ def _parse_alpha(text: str) -> np.ndarray:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("POTTSLAB_SEED", "0"))
+    raw = os.environ.get("POTTSLAB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"POTTSLAB_SEED must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +217,8 @@ def _cmd_graph_sample(args) -> int:
 
 
 def _graph_text(g, args, keys) -> str:
-    lines = ["# config: " + json.dumps(_config_dict(args, keys), sort_keys=True)]
-    lines.append(f"{g.n} {g.delta}")
-    for v in sorted(g.roles):
-        lines.append(f"# role {v} {g.roles[v]}")
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    config = json.dumps(_config_dict(args, keys), sort_keys=True)
+    return f"# config: {config}\n" + graphs.graph_text(g)
 
 
 def _cmd_graph_enumerate(args) -> int:
@@ -228,7 +227,7 @@ def _cmd_graph_enumerate(args) -> int:
     for g in graphs.enumerate_pairings(args.n, args.delta):
         count += 1
         if not args.count_only:
-            lines.append(" ".join(f"{u}-{v}" for u, v in g.edges))
+            lines.append(" ".join(f"{u}-{v}" for u, v in g.edges.tolist()))
     if args.count_only:
         _emit(f"{count}\n", args.out)
     else:
@@ -256,7 +255,7 @@ def _cmd_reduce(args) -> int:
         graphs.build_gadget(args.delta, args.trees, args.depth, args.ncore, args.seed ^ v)
         for v in range(h.n)
     ]
-    hg = graphs.build_reduction(list(h.edges), gadget_list)
+    hg = graphs.build_reduction(h.edges.tolist(), gadget_list)
     _emit(_graph_text(hg, args, ["h", "delta", "trees", "depth", "ncore", "seed"]), args.out)
     return 0
 
@@ -315,17 +314,15 @@ def _cmd_sweep_dif(args) -> int:
     th = treefix.potts_thresholds(args.q, args.delta)
     grid = np.linspace(th.Bu, th.Brc, args.points + 2)[1:-1]
 
-    def one(B):
+    rows = []
+    for B in grid:
         try:
             pd = moments.potts_phase_diagram(args.q, args.delta, float(B))
-            return [float(B), pd.dif, pd.regime, ""]
+            rows.append([float(B), pd.dif, pd.regime, ""])
         except Exception as exc:  # per-row failures recorded, sweep continues
-            return [float(B), float("nan"), "", str(exc)]
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(one, grid))
+            rows.append([float(B), float("nan"), "", str(exc)])
     text = _csv_artifact(
-        "sweep dif", args, ["q", "delta", "points", "threads"],
+        "sweep dif", args, ["q", "delta", "points"],
         ["B", "dif", "regime", "error"], rows, "B activity (unitless); dif in nats per vertex",
     )
     _emit(text, args.csv)
@@ -483,7 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--points", type=int, default=50)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, help="accepted and ignored; the sweep runs serially")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sweep_dif)
 
@@ -504,9 +501,8 @@ def build_parser() -> _Parser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 for key, value in json.load(fh).items():

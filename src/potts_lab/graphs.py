@@ -32,22 +32,21 @@ BRUTE_GIBBS_GUARD = 2_000_000
 ENUMERATE_POINTS_GUARD = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Multigraph with a target degree and optional vertex roles."""
+    """Multigraph with a target degree and optional vertex roles.  `edges` is
+    a read-only (m, 2) int64 array in canonical order: u <= v in each row,
+    rows sorted lexicographically."""
 
     n: int
     delta: int
-    edges: tuple
+    edges: np.ndarray
     roles: dict = field(default_factory=dict)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 2 if u == v else 1
-            if u != v:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.edges[:, 0], minlength=self.n) + np.bincount(
+            self.edges[:, 1], minlength=self.n
+        )
 
     @property
     def num_edges(self) -> int:
@@ -59,18 +58,23 @@ def make_graph(n: int, delta: int, edges, roles=None, strict: bool = True) -> Re
     vertex must have degree delta except root-role vertices with delta - 1;
     strict=False admits arbitrary multigraphs (delta records the max degree
     target, e.g. for the exact Swendsen-Wang test instances)."""
-    norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-    for u, v in norm:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    norm = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    norm = norm[np.lexsort((norm[:, 1], norm[:, 0]))]
+    norm.flags.writeable = False
+    outside = np.nonzero((norm[:, 0] < 0) | (norm[:, 1] >= n))[0]
+    if outside.size:
+        u, v = norm[outside[0]].tolist()
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
     roles = dict(roles) if roles else {}
     g = RegularGraph(n=n, delta=delta, edges=norm, roles=roles)
     if strict:
         deg = g.degrees()
-        for v in range(n):
-            want = delta - 1 if roles.get(v, "").startswith("root") else delta
-            if deg[v] != want:
-                raise ValueError(f"vertex {v} has degree {deg[v]}, expected {want}")
+        want = np.full(n, delta)
+        want[[v for v, r in roles.items() if 0 <= v < n and r.startswith("root")]] = delta - 1
+        bad = np.nonzero(deg != want)[0]
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(f"vertex {v} has degree {deg[v]}, expected {want[v]}")
     return g
 
 
@@ -78,20 +82,18 @@ def graph_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def sample_matching(n: int, delta: int, seed: int) -> list[tuple[int, int]]:
-    """Uniform perfect matching of the delta*n points, deterministic per seed."""
+def sample_matching(n: int, delta: int, seed: int) -> np.ndarray:
+    """Uniform perfect matching of the delta*n points as a (delta*n/2, 2)
+    array of point pairs, deterministic per seed."""
     if (n * delta) % 2 != 0:
         raise ValueError("delta * n must be even")
-    rng = graph_rng(seed)
-    points = rng.permutation(n * delta)
-    return list(zip(points[0::2].tolist(), points[1::2].tolist()))
+    return graph_rng(seed).permutation(n * delta).reshape(-1, 2)
 
 
 def pairing_sample(n: int, delta: int, seed: int) -> RegularGraph:
     """Uniform pairing of the delta*n points; vertex i owns points
     delta*i .. delta*i + delta - 1."""
-    pairs = sample_matching(n, delta, seed)
-    return make_graph(n, delta, [(a // delta, b // delta) for a, b in pairs])
+    return make_graph(n, delta, sample_matching(n, delta, seed) // delta)
 
 
 def enumerate_pairings(n: int, delta: int):
@@ -124,15 +126,11 @@ def double_factorial_pairings(m: int) -> int:
 
 def _neighbor_table(g: RegularGraph) -> np.ndarray:
     """Point-level neighbor list: row v holds its delta neighbors, with each
-    self-loop contributing v twice.  Only valid for fully delta-regular graphs."""
-    nbr = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if u == v:
-            nbr[u].extend([u, u])
-        else:
-            nbr[u].append(v)
-            nbr[v].append(u)
-    return np.array(nbr, dtype=np.int64)
+    self-loop contributing v twice.  Only valid for fully delta-regular graphs.
+    Each row lists the neighbors in edge order."""
+    src = g.edges.reshape(-1)
+    dst = g.edges[:, ::-1].reshape(-1)
+    return dst[np.argsort(src, kind="stable")].reshape(g.n, g.delta)
 
 
 def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
@@ -146,16 +144,11 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
     if kmax > 12:
         raise ValueError("cycle counting supported for kmax <= 12")
     X = np.zeros(kmax, dtype=float)
-    mult: dict = {}
-    loops = 0
-    for u, v in g.edges:
-        if u == v:
-            loops += 1
-        else:
-            mult[(u, v)] = mult.get((u, v), 0) + 1
-    X[0] = loops
+    is_loop = g.edges[:, 0] == g.edges[:, 1]
+    X[0] = np.count_nonzero(is_loop)
     if kmax >= 2:
-        X[1] = sum(m * (m - 1) // 2 for m in mult.values())
+        _, mult = np.unique(g.edges[~is_loop], axis=0, return_counts=True)
+        X[1] = np.sum(mult * (mult - 1) // 2)
     if kmax < 3:
         return X
     if np.any(g.degrees() != g.delta):
@@ -231,7 +224,6 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
     for c in range(q):
         counts[:, c] = np.sum(states == c, axis=1)
 
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     pair_index = {}
     pairs = list(itertools.combinations_with_replacement(range(q), 2))
     for k, (a, b) in enumerate(pairs):
@@ -365,21 +357,23 @@ def build_reduction(h_edges, gadgets: list[RegularGraph]) -> RegularGraph:
         if g.delta != delta:
             raise ValueError("gadgets must share the degree")
         offsets.append(total)
-        edges.extend((u + total, v + total) for u, v in g.edges)
+        edges.append(g.edges + total)
         roles.update({v + total: r for v, r in g.roles.items()})
         total += g.n
 
     free_plus = [list(np.array(gadget_roots(g, "+")) + off) for g, off in zip(gadgets, offsets)]
     free_minus = [list(np.array(gadget_roots(g, "-")) + off) for g, off in zip(gadgets, offsets)]
+    links = []
     for u, v in sorted(h_edges):
         if not free_plus[u] or not free_minus[v]:
             raise ValueError("gadget has too few roots for the degree of H")
         a = free_plus[u].pop(0)
         b = free_minus[v].pop(0)
-        edges.append((a, b))
+        links.append((a, b))
         roles[a] = "Uplus"  # consumed roots are back to full degree
         roles[b] = "Uminus"
-    return make_graph(total, delta, edges, roles)
+    edges.append(np.array(links, dtype=np.int64).reshape(-1, 2))
+    return make_graph(total, delta, np.concatenate(edges), roles)
 
 
 @dataclass(frozen=True)
@@ -420,16 +414,18 @@ def reduction_constants(q: int, delta: int, B: float) -> ReductionConstants:
 # ---------------------------------------------------------------------------
 
 
-def write_graph(g: RegularGraph, path) -> None:
+def graph_text(g: RegularGraph) -> str:
     """Text format: 'n delta' header, '# role v name' lines, one 'u v' edge
     per line (self-loop as 'v v', parallel edges repeated)."""
     lines = [f"{g.n} {g.delta}"]
-    for v in sorted(g.roles):
-        lines.append(f"# role {v} {g.roles[v]}")
-    for u, v in g.edges:
-        lines.append(f"{u} {v}")
+    lines.extend(f"# role {v} {g.roles[v]}" for v in sorted(g.roles))
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def write_graph(g: RegularGraph, path) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(graph_text(g))
 
 
 def read_graph(path, strict: bool = False) -> RegularGraph:

@@ -5,6 +5,9 @@ One step from a coloring: keep each monochromatic edge with probability
 1 - 1/B, find the connected components of the kept edges, and recolor every
 component with a uniform color.  Self-loops are monochromatic by definition
 (they count toward the monochromatic edge total) but never affect components.
+Components are numbered 0, 1, ... in order of their smallest vertex, and
+component i takes the i-th fresh color drawn, so a run is deterministic per
+seed.
 
 The module also carries the disordered/ordered expected monochromatic edge
 densities E_u and E_m, the U/M/T configuration classes built from them, an
@@ -23,27 +26,6 @@ from .graphs import RegularGraph, all_colorings, brute_gibbs
 from .spinsys import SizeGuardError, build_potts_matrix
 
 EXACT_KERNEL_GUARD = 20000
-
-
-class UnionFind:
-    """Array union-find with path compression, sized once per step."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 @dataclass(frozen=True)
@@ -71,11 +53,9 @@ class GapCheck:
 
 
 def _edge_arrays(g: RegularGraph):
-    uv = [(u, v) for u, v in g.edges if u != v]
-    loops = sum(1 for u, v in g.edges if u == v)
-    u = np.array([e[0] for e in uv], dtype=np.int64)
-    v = np.array([e[1] for e in uv], dtype=np.int64)
-    return u, v, loops
+    """Endpoints of the non-loop edges, and the number of self-loops."""
+    is_loop = g.edges[:, 0] == g.edges[:, 1]
+    return g.edges[~is_loop, 0], g.edges[~is_loop, 1], int(np.count_nonzero(is_loop))
 
 
 def mono_edge_count(g: RegularGraph, colors) -> int:
@@ -84,23 +64,34 @@ def mono_edge_count(g: RegularGraph, colors) -> int:
     return int(np.count_nonzero(colors[u] == colors[v])) + loops
 
 
+def components(n: int, a, b):
+    """Connected components of the graph on vertices 0..n-1 with edges
+    (a[i], b[i]): returns (count, label) with components numbered 0, 1, ...
+    in order of their smallest member.  Min-label hooking with pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 1982)."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            break
+        # every label is a root here; hook the larger root under the smaller
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    root = label == np.arange(n)
+    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[label]
+
+
 def _step_arrays(u, v, loops, n, q, B, colors, rng):
     mono = np.nonzero(colors[u] == colors[v])[0]
     kept = mono[rng.random(mono.size) < (1.0 - 1.0 / B)]
-    uf = UnionFind(n)
-    for a, b in zip(u[kept].tolist(), v[kept].tolist()):
-        uf.union(a, b)
-    comp_of = np.empty(n, dtype=np.int64)
-    index_of_root: dict = {}
-    for w in range(n):
-        r = uf.find(w)
-        if r not in index_of_root:
-            # roots are discovered in vertex order, so component indices are
-            # ordered by smallest member; recoloring is seed-deterministic
-            index_of_root[r] = len(index_of_root)
-        comp_of[w] = index_of_root[r]
-    fresh = rng.integers(0, q, size=len(index_of_root))
-    new_colors = fresh[comp_of]
+    count, comp_of = components(n, u[kept], v[kept])
+    new_colors = rng.integers(0, q, size=count)[comp_of]
     mono_after = int(np.count_nonzero(new_colors[u] == new_colors[v])) + loops
     return new_colors, mono_after
 
@@ -274,20 +265,17 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
         colors = states[s]
         mono = np.nonzero(colors[u] == colors[v])[0]
         m = len(mono)
+        # copy r of the graph keeps the edges of subset r; one components
+        # call labels all 2^m copies, each numbered from its first vertex
+        copy, k = np.nonzero((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
+        _, labels = components(2**m * n, u[mono[k]] + copy * n, v[mono[k]] + copy * n)
+        labels = labels.reshape(2**m, n)
+        labels = labels - labels[:, :1]
         for mask in range(2**m):
-            kept = [mono[k] for k in range(m) if mask >> k & 1]
-            prob = keep_p ** len(kept) * (1.0 - keep_p) ** (m - len(kept))
-            uf = UnionFind(n)
-            for e in kept:
-                uf.union(int(u[e]), int(v[e]))
-            comp_of = np.empty(n, dtype=np.int64)
-            index_of_root: dict = {}
-            for w in range(n):
-                r = uf.find(w)
-                if r not in index_of_root:
-                    index_of_root[r] = len(index_of_root)
-                comp_of[w] = index_of_root[r]
-            c = len(index_of_root)
+            kept = mask.bit_count()
+            prob = keep_p**kept * (1.0 - keep_p) ** (m - kept)
+            comp_of = labels[mask]
+            c = int(comp_of.max(initial=-1)) + 1
             if c not in assignments_cache:
                 assignments_cache[c] = all_colorings(c, q)
             assign = assignments_cache[c]

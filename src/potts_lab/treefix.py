@@ -230,22 +230,21 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     ys = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
     with np.errstate(over="ignore", invalid="ignore"):
         gs = (ys - 1.0) * (t * ys**d + q - t) / (ys**d - ys) - target
-    roots: list[float] = []
-    for i in range(len(ys) - 1):
-        if gs[i] == 0.0:
-            roots.append(float(ys[i]))
-        elif gs[i] * gs[i + 1] < 0:
-            roots.append(_bisect(g, float(ys[i]), float(ys[i + 1])))
+        crossing = gs[:-1] * gs[1:] < 0
+    roots = [float(y) for y in ys[:-1][gs[:-1] == 0.0]]
+    for i in np.nonzero(crossing)[0]:
+        roots.append(_bisect(g, float(ys[i]), float(ys[i + 1])))
     # near-tangency: a positive local grid minimum may hide a root pair
-    for i in range(1, len(ys) - 1):
-        if gs[i] > 0 and gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1] and gs[i] < 1e-3:
-            ymin = _golden_min(g, float(ys[i - 1]), float(ys[i + 1]))
-            gmin = g(ymin)
-            if gmin < 0:
-                roots.append(_bisect(g, float(ys[i - 1]), ymin))
-                roots.append(_bisect(g, ymin, float(ys[i + 1])))
-            elif gmin <= 1e-12:
-                roots.append(ymin)
+    mid = gs[1:-1]
+    tangent = (mid > 0) & (mid <= gs[:-2]) & (mid <= gs[2:]) & (mid < 1e-3)
+    for i in np.nonzero(tangent)[0] + 1:
+        ymin = _golden_min(g, float(ys[i - 1]), float(ys[i + 1]))
+        gmin = g(ymin)
+        if gmin < 0:
+            roots.append(_bisect(g, float(ys[i - 1]), ymin))
+            roots.append(_bisect(g, ymin, float(ys[i + 1])))
+        elif gmin <= 1e-12:
+            roots.append(ymin)
     roots.sort()
     dedup: list[float] = []
     for y in roots:

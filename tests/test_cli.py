@@ -192,6 +192,17 @@ def test_sweep_dif_empty_grid(tmp_path):
     assert rows == ["B,dif,regime,error"]
 
 
+def test_sweep_dif_ignores_threads(tmp_path):
+    texts = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"dif{threads}.csv"
+        argv = ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "3", "--threads", threads]
+        assert run_command(argv + ["--csv", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert "threads" not in texts[0]
+
+
 def test_sweep_thresholds_table(tmp_path):
     out = tmp_path / "th.csv"
     rc = run_command(["sweep", "thresholds", "--csv", str(out)])
@@ -226,6 +237,23 @@ def test_env_seed_default(tmp_path, monkeypatch):
     b = tmp_path / "b.graph"
     assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "77", "--out", str(b)]) == 0
     assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
+
+
+def test_bad_env_seed_is_a_validation_error(monkeypatch, capsys):
+    monkeypatch.setenv("POTTSLAB_SEED", "abc")
+    assert run_command(["thresholds", "--q", "3", "--delta", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: POTTSLAB_SEED must be an integer")
+
+
+def test_graph_artifact_is_config_line_plus_graph_file(tmp_path):
+    from potts_lab.graphs import graph_text, pairing_sample
+
+    out = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(out)]) == 0
+    config, rest = out.read_text().split("\n", 1)
+    assert config == '# config: {"delta": 3, "n": 8, "seed": 5}'
+    assert rest == graph_text(pairing_sample(8, 3, seed=5))
 
 
 def test_verify_only_fast_criteria(capsys):

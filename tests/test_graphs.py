@@ -32,15 +32,35 @@ def triangle():
 def test_pairing_sample_structure_and_determinism():
     g = pairing_sample(6, 3, seed=42)
     assert np.all(g.degrees() == 3)
-    assert g.edges == pairing_sample(6, 3, seed=42).edges
-    assert g.edges != pairing_sample(6, 3, seed=43).edges
+    assert np.array_equal(g.edges, pairing_sample(6, 3, seed=42).edges)
+    assert not np.array_equal(g.edges, pairing_sample(6, 3, seed=43).edges)
     with pytest.raises(ValueError):
         pairing_sample(3, 3, seed=0)
 
 
+def test_edges_are_canonical_read_only_array():
+    g = make_graph(4, 2, [(3, 0), (1, 0), (0, 0), (2, 1), (1, 1), (1, 0)], strict=False)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (6, 2)
+    assert g.edges.tolist() == [[0, 0], [0, 1], [0, 1], [0, 3], [1, 1], [1, 2]]
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    assert make_graph(3, 0, [], strict=False).edges.shape == (0, 2)
+
+
+def test_make_graph_rejects_bad_edges_and_degrees():
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) outside vertex range"):
+        make_graph(3, 2, [(0, 1), (3, 1)])
+    with pytest.raises(ValueError, match="vertex 0 has degree 1, expected 2"):
+        make_graph(3, 2, [(0, 1), (1, 2)])
+    # root-role vertices are held to delta - 1
+    with pytest.raises(ValueError, match="vertex 2 has degree 1, expected 2"):
+        make_graph(3, 2, [(0, 1), (1, 2)], roles={0: "rootPlus"})
+    make_graph(3, 2, [(0, 1), (1, 2)], roles={0: "rootPlus", 2: "rootMinus"})
+
+
 def test_single_vertex_forced_loop():
     g = pairing_sample(1, 2, seed=0)
-    assert g.edges == ((0, 0),)
+    assert g.edges.tolist() == [[0, 0]]
 
 
 def test_enumeration_counts():
@@ -238,7 +258,7 @@ def test_reduction_single_edge_and_triangle():
     gadget_edge_keys = set()
     for g, off in zip(gadgets, np.cumsum([0] + [g.n for g in gadgets[:-1]])):
         gadget_edge_keys.update((u + off, v + off) for u, v in g.edges)
-    inter = [e for e in hg.edges if e not in gadget_edge_keys]
+    inter = [e for e in map(tuple, hg.edges.tolist()) if e not in gadget_edge_keys]
     assert len(inter) == 3
     endpoints = [v for e in inter for v in e]
     assert len(set(endpoints)) == len(endpoints)  # mutually distinct roots
@@ -308,7 +328,7 @@ def test_graph_file_roundtrip(tmp_path):
     write_graph(g, path)
     back = read_graph(path)
     assert back.n == g.n and back.delta == g.delta
-    assert back.edges == g.edges
+    assert np.array_equal(back.edges, g.edges)
     assert back.roles == g.roles
     write_graph(back, tmp_path / "h.graph")
     assert (tmp_path / "g.graph").read_text() == (tmp_path / "h.graph").read_text()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from potts_lab.swsim import (
     SWState,
     chain_rng,
     classify_UMT,
+    components,
     conductance,
     default_epsilon,
     exact_sw_kernel,
@@ -307,3 +310,75 @@ def test_phase_occupancy_symmetry():
         for c in range(3)
     ]
     assert max(mass) - min(mass) < 1e-14
+
+
+def _bfs_components(n, a, b):
+    """Reference labelling: breadth-first search from each unvisited vertex
+    in increasing order, so component i contains the i-th smallest root."""
+    adj = [[] for _ in range(n)]
+    for x, y in zip(a, b):
+        adj[x].append(y)
+        adj[y].append(x)
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if label[y] < 0:
+                        label[y] = count
+                        nxt.append(y)
+            frontier = nxt
+        count += 1
+    return count, label
+
+
+def test_components_matches_bfs_reference():
+    rng = np.random.default_rng(5)
+    cases = [(1, [], []), (1, [0], [0]), (5, [], []), (4, [3, 2], [3, 1])]
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        # random multigraphs: self-loops, parallel edges and isolated vertices
+        cases.append((n, rng.integers(0, n, size=m).tolist(), rng.integers(0, n, size=m).tolist()))
+    for n, a, b in cases:
+        count, label = components(n, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        want_count, want = _bfs_components(n, a, b)
+        assert count == want_count
+        assert label.tolist() == want
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of outputs that must stay bit-identical for fixed seeds: SW
+# trajectories, the exact kernel and pairing-model edge order
+PINNED_CHAINS = {
+    (128, "ordered"): "f2de326303dfe4bdeb7fc99bdbe4a4c730618450558a5b68d0bcbc25dbf745a9",
+    (128, "disordered"): "58b0a5ea21f7b416e8256b9dd3419304b80e82cbf87132e8460eb653cf256ab3",
+    (10000, "ordered"): "c81208ee4bea7fe4df239a1cc160dd6cb52fdb029f81ca775be338a38135e566",
+    (10000, "disordered"): "88a17bd1853ca26ba035bebb46ab6fbf7a02de613ad3f8835d630e069479ea27",
+}
+PINNED_KERNEL = "c2c0deade6813698ac760d0f347f89d11d6393e16ac9594facbc932fb3ff55b9"
+PINNED_EDGES = "28381f99bc5b5d75302a2032b434fd1fe7734d9f56b1d52957ce337d3964730e"
+
+
+def test_pinned_digests():
+    Bo = potts_thresholds(6, 3).Bo
+    for n, seed in ((128, 5), (10000, 6)):
+        g = pairing_sample(n, 3, seed=seed)
+        starts = {"ordered": (("ordered", 0), 1), "disordered": ("disordered", 2)}
+        for name, (start, chain_seed) in starts.items():
+            tr = run_chain(g, 6, Bo, steps=20, start=start, seed=chain_seed)
+            assert _sha(tr.phase, tr.freqs, tr.mono_density) == PINNED_CHAINS[(n, name)], (n, name)
+    assert _sha(exact_sw_kernel(pairing_sample(6, 3, seed=0), 3, 2.0)) == PINNED_KERNEL
+    assert _sha(pairing_sample(1000, 3, seed=11).edges) == PINNED_EDGES

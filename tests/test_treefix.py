@@ -261,3 +261,50 @@ def test_generic_search_non_potts():
     assert fps
     for fp in fps:
         assert fixpoint_residual(m, 3, fp.R) < 1e-10
+
+
+def _loop_two_value_roots(q, delta, B, t):
+    """Point-by-point form of the grid scans in two_value_roots: the
+    reference the vectorised scans must match exactly."""
+    from potts_lab.treefix import _activity_of_ratio, _bisect, _golden_min
+
+    d = delta - 1
+
+    def g(y):
+        return _activity_of_ratio(y, q, d, t) - (B - 1.0)
+
+    ys = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = (ys - 1.0) * (t * ys**d + q - t) / (ys**d - ys) - (B - 1.0)
+    roots = []
+    for i in range(len(ys) - 1):
+        if gs[i] == 0.0:
+            roots.append(float(ys[i]))
+        elif gs[i] * gs[i + 1] < 0:
+            roots.append(_bisect(g, float(ys[i]), float(ys[i + 1])))
+    for i in range(1, len(ys) - 1):
+        if gs[i] > 0 and gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1] and gs[i] < 1e-3:
+            ymin = _golden_min(g, float(ys[i - 1]), float(ys[i + 1]))
+            gmin = g(ymin)
+            if gmin < 0:
+                roots.append(_bisect(g, float(ys[i - 1]), ymin))
+                roots.append(_bisect(g, ymin, float(ys[i + 1])))
+            elif gmin <= 1e-12:
+                roots.append(ymin)
+    roots.sort()
+    dedup = []
+    for y in roots:
+        if not dedup or abs(y - dedup[-1]) > 1e-9 * max(1.0, y):
+            dedup.append(y)
+    return dedup
+
+
+def test_two_value_roots_matches_loop_reference():
+    cases = []
+    for q, delta in ((3, 3), (4, 5), (6, 3), (10, 10)):
+        th = potts_thresholds(q, delta)
+        # near-tangent pairs just above Bu, both sides of Bo and Brc
+        for B in (th.Bu + 1e-10, th.Bu + 1e-4, th.Bo, th.Brc, 0.5 * (th.Bu + th.Brc), 2 * th.Brc):
+            cases.extend((q, delta, B, t) for t in range(1, q))
+    for q, delta, B, t in cases:
+        assert two_value_roots(q, delta, B, t) == _loop_two_value_roots(q, delta, B, t)
