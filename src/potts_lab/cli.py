@@ -368,6 +368,13 @@ def _add_model_flags(p):
     p.add_argument("--delta", type=int, required=True)
 
 
+def _add_gadget_flags(p):
+    for name in ("--delta", "--trees", "--depth", "--ncore"):
+        p.add_argument(name, type=int, required=True)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="potts-lab")
     parser.add_argument("--config", help="JSON file of option overrides")
@@ -432,25 +439,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_graph_cycles)
 
-    for owner in (gsub, sub):
-        p = owner.add_parser("gadget")
-        p.add_argument("--delta", type=int, required=True)
-        p.add_argument("--trees", type=int, required=True)
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--ncore", type=int, required=True)
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_gadget)
+    p = sub.add_parser("gadget")
+    _add_gadget_flags(p)
+    p.set_defaults(func=_cmd_gadget)
 
-        p = owner.add_parser("reduce")
-        p.add_argument("--h", required=True, help="graph file for H")
-        p.add_argument("--delta", type=int, required=True)
-        p.add_argument("--trees", type=int, required=True)
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--ncore", type=int, required=True)
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_reduce)
+    p = sub.add_parser("reduce")
+    p.add_argument("--h", required=True, help="graph file for H")
+    _add_gadget_flags(p)
+    p.set_defaults(func=_cmd_reduce)
 
     sw = sub.add_parser("sw")
     swsub = sw.add_subparsers(dest="sw_command", required=True)
@@ -500,13 +496,52 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _leaf_parser(parser, args):
+    """The parser of the subcommand that args selected."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
+    return parser
+
+
+def _apply_config(args, parser, path: str) -> None:
+    """Override options of the chosen subcommand from a JSON object.
+
+    Keys name options of that subcommand (dashes or underscores).  Each value
+    goes through the option's argparse type as if given on the command line;
+    flags take JSON booleans.
+    """
+    with open(path) as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError("--config must hold a JSON object")
+    leaf = _leaf_parser(parser, args)
+    options = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    for key, value in overrides.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"--config: {key!r} is not an option of '{leaf.prog}'")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"--config: {key!r} takes true or false, got {value!r}")
+        else:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"--config: {key!r} takes a string or number, got {value!r}")
+            try:
+                value = (action.type or str)(str(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"--config: invalid value for {key!r}: {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"--config: {key!r} must be one of {list(action.choices)}")
+        setattr(args, action.dest, value)
+
+
 def run_command(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                for key, value in json.load(fh).items():
-                    setattr(args, key.replace("-", "_"), value)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(args, parser, args.config)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(str(exc) + "\n")

@@ -10,7 +10,6 @@ that artifacts are reproducible across platforms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -224,11 +223,7 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
     for c in range(q):
         counts[:, c] = np.sum(states == c, axis=1)
 
-    pair_index = {}
-    pairs = list(itertools.combinations_with_replacement(range(q), 2))
-    for k, (a, b) in enumerate(pairs):
-        pair_index[(a, b)] = k
-    edge_vec = np.zeros((len(states), len(pairs)), dtype=np.int64)
+    edge_vec = np.zeros((len(states), q * (q + 1) // 2), dtype=np.int64)
     rows = np.arange(len(states))
     for u, v in g.edges:
         cu, cv = states[:, u], states[:, v]

@@ -18,7 +18,7 @@ log domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from . import treefix
 from .treefix import Fixpoint, potts_thresholds
 
 IPF_TOL = 1e-13
+SINKHORN_MAX_SWEEPS = 100000
 LN2 = math.log(2.0)
 
 
@@ -109,6 +110,38 @@ def _ipf_scale(B: np.ndarray, alpha: np.ndarray, lam0=None, tol=IPF_TOL, max_ite
     return lam, res
 
 
+def _scaling_max(B: np.ndarray, alpha: np.ndarray, lam0=None):
+    """The symmetric scaling x_ij = B_ij lam_i lam_j with row sums alpha that
+    maximizes g1(x) = 1/2 sum x ln B - 1/2 sum x ln x.
+
+    Returns (x, g1, lam), or None when the marginals are unreachable on the
+    support of B.  Colors with alpha_i = 0 are dropped before scaling
+    (0 ln 0 = 0) and get lam_i = 0; entries with B_ij = 0 are exactly zero
+    in x.  lam0 warm-starts the scaling.
+    """
+    active = alpha > 0
+    Ba = B[np.ix_(active, active)]
+    aa = alpha[active]
+    if np.any(Ba.sum(axis=1) == 0):
+        return None
+    lam_a, res = _ipf_scale(Ba, aa, lam0=None if lam0 is None else lam0[active])
+    if res >= 1e-12:
+        return None
+    xa = Ba * np.outer(lam_a, lam_a)
+    supp = xa > 0
+    g1 = 0.5 * float(np.sum(xa[supp] * (np.log(Ba[supp]) - np.log(xa[supp]))))
+    x = np.zeros_like(B)
+    x[np.ix_(active, active)] = xa
+    lam = np.zeros(len(alpha))
+    lam[active] = lam_a
+    return x, g1, lam
+
+
+def _psi1_of_g1(delta: int, alpha: np.ndarray, g1: float) -> float:
+    a = alpha[alpha > 0]
+    return (delta - 1) * float(np.sum(a * np.log(a))) + delta * g1
+
+
 def inner_edge_max(model: InteractionMatrix, alpha, lam0=None):
     """Maximize g1(x) = 1/2 sum x ln B - 1/2 sum x ln x over symmetric x with
     row sums alpha.  Returns (EdgeDistribution, g1), or (None, -inf) when the
@@ -118,33 +151,18 @@ def inner_edge_max(model: InteractionMatrix, alpha, lam0=None):
     entries with B_ij = 0 are exactly zero in the maximizer.
     """
     B = model.entries if isinstance(model, InteractionMatrix) else np.asarray(model, float)
-    alpha = np.asarray(alpha, dtype=float)
-    active = alpha > 0
-    Ba = B[np.ix_(active, active)]
-    aa = alpha[active]
-    if np.any((Ba.sum(axis=1) == 0) & (aa > 0)):
+    sol = _scaling_max(B, np.asarray(alpha, dtype=float), lam0)
+    if sol is None:
         return None, -np.inf
-    lam_a, res = _ipf_scale(Ba, aa, lam0=None if lam0 is None else lam0[active])
-    if res >= 1e-12:
-        return None, -np.inf
-    xa = Ba * np.outer(lam_a, lam_a)
-    supp = xa > 0
-    g1 = 0.5 * float(np.sum(xa[supp] * (np.log(Ba[supp]) - np.log(xa[supp]))))
-    x = np.zeros_like(B)
-    x[np.ix_(active, active)] = xa
-    lam = np.zeros(len(alpha))
-    lam[active] = lam_a
+    x, g1, _ = sol
     return EdgeDistribution(x=x, marginals=x.sum(axis=1)), g1
 
 
 def psi1(model: InteractionMatrix, delta: int, alpha) -> float:
     """First-moment exponent at phase alpha, in nats per vertex."""
     alpha = np.asarray(alpha, dtype=float)
-    _, g1 = inner_edge_max(model, alpha)
-    if g1 == -np.inf:
-        return -np.inf
-    a = alpha[alpha > 0]
-    return (delta - 1) * float(np.sum(a * np.log(a))) + delta * g1
+    sol = _scaling_max(model.entries, alpha)
+    return -np.inf if sol is None else _psi1_of_g1(delta, alpha, sol[1])
 
 
 def phi1(model: InteractionMatrix, delta: int, R) -> float:
@@ -162,20 +180,14 @@ def phi1(model: InteractionMatrix, delta: int, R) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _norm_ratio(Bhat: np.ndarray, p: float, R: np.ndarray) -> float:
-    nr = float(np.linalg.norm(R, ord=p))
-    if nr == 0:
-        return 0.0
-    return float(np.linalg.norm(Bhat @ R)) / nr
-
-
 def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, seed: int = 7):
     """Maximize ||Bhat R||_2 / ||R||_p over R >= 0 for p in (1, 2].
 
     Critical points of the ratio are exactly the tree-recursion fixpoints of
     B = Bhat^T Bhat at degree delta = p/(p-1) + 1, so the ascent iterates the
-    damped recursion from the supplied seeds, coordinate vectors, the uniform
-    vector and random starts.  Returns (norm value, maximizer).
+    damped recursion from the uniform vector, the coordinate vectors, the
+    supplied seeds and random starts, all stepped together as one batch.
+    Returns (norm value, maximizer).
     """
     Bhat = np.asarray(Bhat, dtype=float)
     if not (1.0 < p <= 2.0):
@@ -185,44 +197,19 @@ def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, s
     q = B.shape[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def step(R):
-        out = B @ R
-        m = out.max()
-        if m <= 0:
-            return R
-        out = (out / m) ** d
-        return out / out.sum()
-
-    candidates = [np.full(q, 1.0 / q)]
-    candidates.extend(np.eye(q))
+    starts = [np.full(q, 1.0 / q)]
+    starts.extend(np.eye(q))
     if seeds is not None:
-        candidates.extend(np.asarray(s, dtype=float) for s in seeds)
-    candidates.extend(rng.dirichlet(np.ones(q)) for _ in range(n_starts))
+        starts.extend(np.asarray(s, dtype=float) for s in seeds)
+    starts = np.vstack([starts, rng.dirichlet(np.ones(q), size=n_starts)])
+    ends = treefix._damped_iterate(B, d, starts)
+    starts = starts / starts.sum(axis=1, keepdims=True)
 
-    best_val, best_R = -np.inf, None
-    for R0 in candidates:
-        R = R0 / R0.sum()
-        val = _norm_ratio(Bhat, p, R)
-        if val > best_val:
-            best_val, best_R = val, R.copy()
-        prev = val
-        for it in range(20000):
-            nxt = 0.5 * R + 0.5 * step(R)
-            if np.max(np.abs(nxt - R)) < 1e-15:
-                R = nxt
-                break
-            R = nxt
-            # near-marginal points converge sub-geometrically in R but the
-            # ratio plateaus long before; exact fixpoint seeds carry precision
-            if it % 200 == 199:
-                cur = _norm_ratio(Bhat, p, R)
-                if cur - prev < 1e-14:
-                    break
-                prev = cur
-        val = _norm_ratio(Bhat, p, R)
-        if val > best_val:
-            best_val, best_R = val, R.copy()
-    return best_val, best_R
+    # every start scores before and after its ascent; the first maximum wins
+    candidates = [R for pair in zip(starts, ends) for R in pair]
+    vals = [float(np.linalg.norm(Bhat @ R)) / float(np.linalg.norm(R, ord=p)) for R in candidates]
+    k = int(np.argmax(vals))
+    return vals[k], candidates[k].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -231,41 +218,29 @@ def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, s
 
 
 def _sinkhorn_project(G: np.ndarray, row: np.ndarray, col: np.ndarray, tol=1e-12):
-    """Scale a positive matrix to the given row/column marginals."""
+    """Scale a positive matrix to the given row/column marginals.
+
+    Raises RuntimeError when the marginals are not reached within tol, as on
+    a support that cannot carry them (the scalings then diverge).
+    """
     u = np.ones(len(row))
     v = np.ones(len(col))
-    for _ in range(100000):
+    for sweep in range(1, SINKHORN_MAX_SWEEPS + 1):
         u = row / (G @ v)
         v = col / (G.T @ u)
         P = G * np.outer(u, v)
-        if max(
-            np.max(np.abs(P.sum(axis=1) - row)), np.max(np.abs(P.sum(axis=0) - col))
-        ) < tol:
+        err = max(np.max(np.abs(P.sum(axis=1) - row)), np.max(np.abs(P.sum(axis=0) - col)))
+        if err < tol:
             return P
-    return P
+        if not np.isfinite(err):
+            break
+    raise RuntimeError(
+        f"Sinkhorn projection did not converge: marginal error {err:.3e} after {sweep} sweeps"
+    )
 
 
 def _paired_model(model: InteractionMatrix) -> np.ndarray:
     return np.kron(model.entries, model.entries)
-
-
-def _psi1_paired(K: np.ndarray, delta: int, gamma_flat: np.ndarray, lam0=None):
-    """psi1 of the paired-spin model together with the inner scaling vector."""
-    active = gamma_flat > 0
-    Ka = K[np.ix_(active, active)]
-    ga = gamma_flat[active]
-    if np.any(Ka.sum(axis=1) == 0):
-        return -np.inf, None
-    lam_a, res = _ipf_scale(Ka, ga, lam0=None if lam0 is None else lam0[active])
-    if res >= 1e-12:
-        return -np.inf, None
-    xa = Ka * np.outer(lam_a, lam_a)
-    supp = xa > 0
-    g1 = 0.5 * float(np.sum(xa[supp] * (np.log(Ka[supp]) - np.log(xa[supp]))))
-    val = (delta - 1) * float(np.sum(ga * np.log(ga))) + delta * g1
-    lam = np.zeros(len(gamma_flat))
-    lam[active] = lam_a
-    return val, lam
 
 
 def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50, seed: int = 11) -> float:
@@ -290,20 +265,18 @@ def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50, seed: 
         full = np.zeros((q, q))
         full[np.ix_(pos, pos)] = P
         starts.append(full)
-
-    best = -np.inf
-    for gamma0 in starts:
-        val = _ascend_gamma(K, delta, alpha, gamma0)
-        best = max(best, val)
-    return best
+    return max(_ascend_gamma(K, delta, alpha, gamma0) for gamma0 in starts)
 
 
 def _ascend_gamma(K, delta, alpha, gamma0, max_iter=400):
     gamma = np.maximum(gamma0, 0.0)
     q = gamma.shape[0]
-    val, lam = _psi1_paired(K, delta, gamma.reshape(-1))
-    if val == -np.inf:
-        return val
+    pos = alpha > 0
+    block = np.ix_(pos, pos)
+    sol = _scaling_max(K, gamma.reshape(-1))
+    if sol is None:
+        return -np.inf
+    val, lam = _psi1_of_g1(delta, gamma.reshape(-1), sol[1]), sol[2]
     eta = 0.1
     for _ in range(max_iter):
         gflat = gamma.reshape(-1)
@@ -314,26 +287,21 @@ def _ascend_gamma(K, delta, alpha, gamma0, max_iter=400):
         grad[active] = (delta - 1) * np.log(gflat[active]) - delta * np.log(
             np.maximum(lam[active], 1e-300)
         )
-        stepped = False
         while eta > 1e-12:
             trial = gamma * np.exp(eta * (grad - grad[active].mean()).reshape(q, q))
-            pos = trial.sum(axis=1) > 0
-            if not (pos == (alpha > 0)).all():
+            if not ((trial.sum(axis=1) > 0) == pos).all():
                 eta *= 0.5
                 continue
-            trial_a = _sinkhorn_project(
-                trial[np.ix_(alpha > 0, alpha > 0)], alpha[alpha > 0], alpha[alpha > 0]
-            )
             cand = np.zeros_like(gamma)
-            cand[np.ix_(alpha > 0, alpha > 0)] = trial_a
-            cand_val, cand_lam = _psi1_paired(K, delta, cand.reshape(-1), lam0=lam)
+            cand[block] = _sinkhorn_project(trial[block], alpha[pos], alpha[pos])
+            sol = _scaling_max(K, cand.reshape(-1), lam0=lam)
+            cand_val = -np.inf if sol is None else _psi1_of_g1(delta, cand.reshape(-1), sol[1])
             if cand_val > val:
-                gamma, val, lam = cand, cand_val, cand_lam
+                gamma, val, lam = cand, cand_val, sol[2]
                 eta = min(eta * 1.5, 1.0)
-                stepped = True
                 break
             eta *= 0.5
-        if not stepped:
+        else:  # no step size improves the value
             break
     return val
 
@@ -584,15 +552,7 @@ def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
 
 def _with_dominance(ph: Phase, psi1_max: float) -> Phase:
     dom = ph.psi1 >= psi1_max - 1e-9
-    return Phase(
-        alpha=ph.alpha,
-        psi1=ph.psi1,
-        hessian_eigen=ph.hessian_eigen,
-        local_max=ph.local_max,
-        hessian_local_max=ph.hessian_local_max,
-        dominant=dom,
-        hessian_dominant=dom and ph.hessian_local_max,
-    )
+    return replace(ph, dominant=dom, hessian_dominant=dom and ph.hessian_local_max)
 
 
 def _orbit(ph: Phase) -> list[Phase]:
@@ -601,19 +561,8 @@ def _orbit(ph: Phase) -> list[Phase]:
     out = []
     for i in range(q):
         a = np.roll(ph.alpha, i)
-        if any(np.allclose(a, p.alpha) for p in out):
-            continue
-        out.append(
-            Phase(
-                alpha=a,
-                psi1=ph.psi1,
-                hessian_eigen=ph.hessian_eigen,
-                local_max=ph.local_max,
-                hessian_local_max=ph.hessian_local_max,
-                dominant=ph.dominant,
-                hessian_dominant=ph.hessian_dominant,
-            )
-        )
+        if not any(np.allclose(a, p.alpha) for p in out):
+            out.append(replace(ph, alpha=a))
     return out
 
 
@@ -750,11 +699,7 @@ def moment_report(
     moment maxima, the induced-norm cross-check and (at the dominant attractive
     fixpoint) the small-subgraph constants."""
     fps = all_fixpoints(model, delta, seed=seed)
-    phases = []
-    for fp in fps:
-        val = psi1(model, delta, fp.alpha)
-        phases.append((_phase_from_fixpoint(model, delta, fp, psi1_value=val), fp))
-    psi1_max = max(ph.psi1 for ph, _ in phases)
+    psi1s = [psi1(model, delta, fp.alpha) for fp in fps]
 
     # safety net: a coarse scan of the ratio functional must not beat the
     # enumerated fixpoints
@@ -766,21 +711,16 @@ def moment_report(
         quad = np.einsum("ki,ij,kj->k", pos, B, pos)
         vals = 0.5 * delta * np.log(quad) - (delta - 1) * np.log(np.sum(pos**p, axis=1))
         k = int(np.argmax(vals))
-        if vals[k] > psi1_max + 1e-9:
-            R = treefix.canonical(model, pos[k])
-            for _ in range(100000):
-                nxt = treefix.canonical(
-                    model, 0.5 * R + 0.5 * treefix.tree_step(model, delta, R)
-                )
-                if np.max(np.abs(nxt - R)) < 1e-14:
-                    break
-                R = nxt
-            fp = treefix.make_fixpoint(model, delta, R)
-            val = psi1(model, delta, fp.alpha)
-            phases.append((_phase_from_fixpoint(model, delta, fp, psi1_value=val), fp))
-            psi1_max = max(psi1_max, val)
+        if vals[k] > max(psi1s) + 1e-9:
+            R = treefix._damped_iterate(B, delta - 1, pos[k])[0]
+            fps.append(treefix.make_fixpoint(model, delta, R))
+            psi1s.append(psi1(model, delta, fps[-1].alpha))
 
-    phases = [(_with_dominance(ph, psi1_max), fp) for ph, fp in phases]
+    psi1_max = max(psi1s)
+    phases = [
+        (_with_dominance(_phase_from_fixpoint(model, delta, fp, psi1_value=v), psi1_max), fp)
+        for fp, v in zip(fps, psi1s)
+    ]
     dominant = [ph for ph, _ in phases if ph.dominant]
 
     norm_value = None

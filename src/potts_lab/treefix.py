@@ -26,6 +26,8 @@ from .spinsys import InteractionMatrix, Signature, build_potts_matrix
 FIXPOINT_RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 BISECT_TOL = 1e-13
+DAMPED_STEP_TOL = 1e-15
+DAMPED_MAX_STEPS = 20000
 
 ATTRACTIVE = "attractive"
 UNSTABLE = "unstable"
@@ -328,33 +330,48 @@ def ordered_root_marginal(q: int, delta: int, B: float) -> float:
     return x / (x + q - 1.0)
 
 
+def _damped_iterate(B: np.ndarray, d: int, R0) -> np.ndarray:
+    """Iterate the damped recursion R <- R/2 + T(R)/2 from each row of R0.
+
+    T(R) = (B R)^d / sum (B R)^d with d = Delta - 1, so the fixed points are
+    the tree fixpoints normalized to sum 1; this form keeps zero coordinates
+    (coordinate-vector starts) well defined, and leaves rows with B R = 0 as
+    they are.  All rows step together; each stops on its own once a step
+    moves it by less than DAMPED_STEP_TOL, or after DAMPED_MAX_STEPS steps.
+    """
+    R = np.array(R0, dtype=float, ndmin=2)
+    R = R / R.sum(axis=1, keepdims=True)
+    live = np.arange(len(R))
+    for _ in range(DAMPED_MAX_STEPS):
+        cur = R[live]
+        out = cur @ B.T
+        m = out.max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (out / m) ** d
+            out = out / out.sum(axis=1, keepdims=True)
+        nxt = 0.5 * cur + 0.5 * np.where(m > 0, out, cur)
+        R[live] = nxt
+        live = live[np.max(np.abs(nxt - cur), axis=1) >= DAMPED_STEP_TOL]
+        if not len(live):
+            break
+    return R
+
+
 def find_fixpoints(
-    model: InteractionMatrix,
-    delta: int,
-    n_starts: int = 200,
-    seed: int = 0,
-    damping: float = 0.5,
-    max_iter: int = 20000,
+    model: InteractionMatrix, delta: int, n_starts: int = 200, seed: int = 0
 ) -> list[Fixpoint]:
     """Attractive fixpoints of a general model by damped iteration.
 
-    Runs damped tree steps from Dirichlet(1) starts, deduplicates at 1e-6 and
-    orders results deterministically.  Unstable fixpoints are generally not
+    Runs the damped recursion from Dirichlet(1) starts, deduplicates at 1e-6
+    and orders results on that same scale, so that ulp-level differences
+    between runs cannot reorder them.  Unstable fixpoints are generally not
     reachable this way; for Potts models use potts_fixpoints instead.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    found: list[np.ndarray] = []
-    for _ in range(n_starts):
-        R = canonical(model, rng.dirichlet(np.ones(model.q)) + 1e-9)
-        for _ in range(max_iter):
-            nxt = canonical(model, (1 - damping) * R + damping * tree_step(model, delta, R))
-            if np.max(np.abs(nxt - R)) < 1e-13:
-                R = nxt
-                break
-            R = nxt
-        if fixpoint_residual(model, delta, R) < FIXPOINT_RESIDUAL_TOL:
-            found.append(R)
-    found.sort(key=lambda r: tuple(np.round(r, 12)))
+    starts = rng.dirichlet(np.ones(model.q), size=n_starts) + 1e-9
+    ends = [canonical(model, R) for R in _damped_iterate(model.entries, delta - 1, starts)]
+    found = [R for R in ends if fixpoint_residual(model, delta, R) < FIXPOINT_RESIDUAL_TOL]
+    found.sort(key=lambda r: tuple(np.round(r, 6)))
     dedup: list[np.ndarray] = []
     for R in found:
         if not any(np.max(np.abs(R - S)) < 1e-6 for S in dedup):

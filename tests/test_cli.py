@@ -134,6 +134,12 @@ def test_gadget_and_reduce_cli(tmp_path):
     assert int(np.max(hg.degrees())) == 3
 
 
+def test_gadget_and_reduce_are_top_level_commands_only(capsys):
+    for cmd in ("gadget", "reduce"):
+        assert run_command(["graph", cmd, "--help"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_sweep_dif_crosses_zero_at_bo(tmp_path):
     out = tmp_path / "dif.csv"
     rc = run_command(
@@ -228,6 +234,38 @@ def test_config_file_overrides(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["q"] == 4
     assert abs(payload["Brc"] - 5.0) < 1e-12
+
+
+def _config_run(tmp_path, overrides, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(overrides))
+    return run_command(["--config", str(cfg)] + argv)
+
+
+def test_config_rejects_keys_that_are_not_options_of_the_subcommand(tmp_path, capsys):
+    argv = ["thresholds", "--q", "3", "--delta", "3"]
+    assert _config_run(tmp_path, {"func": 1}, argv) == 1
+    assert capsys.readouterr().err.startswith("error: --config: 'func' is not an option")
+    assert _config_run(tmp_path, {"bogus": 3}, argv) == 1
+    assert capsys.readouterr().err.startswith("error: --config: 'bogus' is not an option")
+    # an option of another subcommand is not an option of this one
+    assert _config_run(tmp_path, {"B": 2.0}, argv) == 1
+    assert "is not an option of 'potts-lab thresholds'" in capsys.readouterr().err
+
+
+def test_config_values_go_through_the_option_type(tmp_path, capsys):
+    argv = ["thresholds", "--q", "3", "--delta", "3"]
+    assert _config_run(tmp_path, {"q": "three"}, argv) == 1
+    assert capsys.readouterr().err.startswith("error: --config: invalid value for 'q'")
+    assert _config_run(tmp_path, {"q": 3.5}, argv) == 1
+    assert _config_run(tmp_path, {"json": "yes"}, argv) == 1
+    capsys.readouterr()
+    # a JSON string holding an integer is coerced like a command-line value
+    assert _config_run(tmp_path, {"q": "4"}, argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["q"] == 4
+    argv = ["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5"]
+    assert _config_run(tmp_path, {"seed": 6}, argv) == 0
+    assert capsys.readouterr().out.startswith('# config: {"delta": 3, "n": 8, "seed": 6}')
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

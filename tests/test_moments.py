@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +257,26 @@ def test_moment_report_ordered_regime():
     maj = treefix.majority_fixpoint(3, 3, 4.2)
     assert abs(rep.psi1_max - phi1(m, 3, maj.R)) < 1e-9
     assert any(ph.dominant and np.max(ph.alpha) > 0.5 for ph in rep.phases)
+
+
+def test_sinkhorn_raises_when_the_support_cannot_carry_the_marginals():
+    from potts_lab.moments import _sinkhorn_project
+
+    G = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="did not converge"):
+        _sinkhorn_project(G, np.array([0.3, 0.7]), np.array([0.7, 0.3]))
+    P = _sinkhorn_project(G, np.array([0.7, 0.3]), np.array([0.3, 0.7]))
+    assert np.allclose(P, [[0.3, 0.4], [0.0, 0.3]], atol=1e-12)
+
+
+def test_criterion_4_cells_match_pinned_values():
+    # recorded with one norm ascent per start; stepping the starts as one
+    # array may move the norm in its last bits, psi1 and psi2 not at all
+    cells = json.loads((Path(__file__).parent / "pinned_moment_cells.json").read_text())
+    assert len(cells) == 24
+    for cell in cells:
+        rep = moment_report(build_potts_matrix(cell["q"], cell["B"]), cell["delta"])
+        assert [ph.psi1 for ph in rep.phases] == cell["phase_psi1"]
+        assert rep.psi1_max == cell["psi1_max"]
+        assert rep.psi2_max == cell["psi2_max"]
+        assert abs(rep.norm_value - cell["norm_value"]) <= 1e-14 * cell["norm_value"]

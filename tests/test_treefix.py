@@ -263,6 +263,35 @@ def test_generic_search_non_potts():
         assert fixpoint_residual(m, 3, fp.R) < 1e-10
 
 
+def test_generic_search_orders_fixpoints_on_the_dedup_scale():
+    # the four majority fixpoints of Potts(4, 6.0) differ only in where the
+    # large coordinate sits; ulp-level noise in the small ones must not
+    # reorder them
+    m = build_potts_matrix(4, 6.0)
+    fps = find_fixpoints(m, 3)
+    assert [int(np.argmax(fp.R)) for fp in fps] == [3, 2, 1, 0]
+    assert all(fp.stability == ATTRACTIVE for fp in fps)
+    x = majority_fixpoint(4, 3, 6.0).potts_structure[1]
+    for fp in fps:
+        assert abs(fp.R.max() / fp.R.min() - x) < 1e-9
+
+
+def test_damped_iterate_rows_stop_on_their_own():
+    from potts_lab.treefix import _damped_iterate
+
+    m = build_potts_matrix(3, 3.9)
+    maj = majority_fixpoint(3, 3, 3.9).R
+    starts = np.array([maj / maj.sum(), [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    out = _damped_iterate(m.entries, 2, starts)
+    # the row started at a fixpoint stops after one step; the others converge
+    assert np.max(np.abs(out[0] - starts[0])) < 1e-15
+    for R in out:
+        assert abs(R.sum() - 1.0) < 1e-14
+        assert fixpoint_residual(m, 3, R) < 1e-10
+    # a row with B R = 0 is left as it is
+    assert np.array_equal(_damped_iterate(np.diag([0.0, 1.0]), 2, [[1.0, 0.0]]), [[1.0, 0.0]])
+
+
 def _loop_two_value_roots(q, delta, B, t):
     """Point-by-point form of the grid scans in two_value_roots: the
     reference the vectorised scans must match exactly."""
