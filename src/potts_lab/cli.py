@@ -504,6 +504,35 @@ def _leaf_parser(parser, args):
     return parser
 
 
+def _parse_args(parser, argv):
+    """Parse argv and apply --config before requiring the required options,
+    which the config may supply (it overrides the command line)."""
+    required = []
+    for p in _parsers(parser):
+        # freeze usage and help text while the options still read as required
+        p.usage = p.format_usage().removeprefix("usage: ").rstrip("\n")
+        required += [a for a in p._actions if a.option_strings and a.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    if args.config:
+        _apply_config(args, parser, args.config)
+    leaf = _leaf_parser(parser, args)
+    missing = [a.option_strings[0] for a in leaf._actions if a in required and getattr(args, a.dest) is None]
+    if missing:
+        leaf.error("the following arguments are required: " + ", ".join(missing))
+    return args
+
+
+def _parsers(parser):
+    """The parser and the parsers of all its subcommands."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def _apply_config(args, parser, path: str) -> None:
     """Override options of the chosen subcommand from a JSON object.
 
@@ -538,10 +567,7 @@ def _apply_config(args, parser, path: str) -> None:
 
 def run_command(argv) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config:
-            _apply_config(args, parser, args.config)
+        args = _parse_args(build_parser(), argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(str(exc) + "\n")

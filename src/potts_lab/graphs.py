@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,16 @@ class RegularGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def loop_split(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(u, v, loops): read-only endpoint arrays of the non-loop edges and
+        the number of self-loops, computed on first use."""
+        is_loop = self.edges[:, 0] == self.edges[:, 1]
+        u, v = self.edges[~is_loop, 0], self.edges[~is_loop, 1]
+        u.flags.writeable = False
+        v.flags.writeable = False
+        return u, v, int(np.count_nonzero(is_loop))
 
 
 def make_graph(n: int, delta: int, edges, roles=None, strict: bool = True) -> RegularGraph:
@@ -143,10 +154,10 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
     if kmax > 12:
         raise ValueError("cycle counting supported for kmax <= 12")
     X = np.zeros(kmax, dtype=float)
-    is_loop = g.edges[:, 0] == g.edges[:, 1]
-    X[0] = np.count_nonzero(is_loop)
+    u, v, loops = g.loop_split
+    X[0] = loops
     if kmax >= 2:
-        _, mult = np.unique(g.edges[~is_loop], axis=0, return_counts=True)
+        _, mult = np.unique(np.column_stack((u, v)), axis=0, return_counts=True)
         X[1] = np.sum(mult * (mult - 1) // 2)
     if kmax < 3:
         return X

@@ -205,11 +205,13 @@ def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, s
     ends = treefix._damped_iterate(B, d, starts)
     starts = starts / starts.sum(axis=1, keepdims=True)
 
-    # every start scores before and after its ascent; the first maximum wins
+    # every start scores before and after its ascent; the first candidate within
+    # 1e-12 of the maximum wins, so maximizers tied up to rounding cannot swap
     candidates = [R for pair in zip(starts, ends) for R in pair]
     vals = [float(np.linalg.norm(Bhat @ R)) / float(np.linalg.norm(R, ord=p)) for R in candidates]
-    k = int(np.argmax(vals))
-    return vals[k], candidates[k].copy()
+    top = max(vals)
+    k = next(i for i, v in enumerate(vals) if v >= top - 1e-12 * top)
+    return top, candidates[k].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +528,12 @@ def dif_value(q: int, delta: int, B: float) -> float:
     fp = treefix.majority_fixpoint(q, delta, B)
     if fp is None:
         raise ValueError("no majority fixpoint below the uniqueness threshold")
+    return _dif_of_ratio(q, delta, fp.potts_structure[1])
+
+
+def _dif_of_ratio(q: int, delta: int, x: float) -> float:
+    """dif_value at the majority fixpoint with ratio x = R_1/R_q."""
     d = delta - 1
-    x = fp.potts_structure[1]
     y = x ** (1.0 / d)
     return 0.5 * (
         (d + 1) * math.log(y**d + q - 1)
@@ -558,12 +564,14 @@ def _with_dominance(ph: Phase, psi1_max: float) -> Phase:
 def _orbit(ph: Phase) -> list[Phase]:
     """The q color permutations of an ordered phase (distinct rolls)."""
     q = len(ph.alpha)
-    out = []
+    rolls = ph.alpha[(np.arange(q) - np.arange(q)[:, None]) % q]  # row i: np.roll(alpha, i)
+    # close[i, k] is np.allclose(rolls[i], rolls[k]): |a - b| <= 1e-8 + 1e-5 |b|
+    close = np.all(np.abs(rolls[:, None] - rolls[None]) <= 1e-8 + 1e-5 * np.abs(rolls[None]), axis=2)
+    kept: list[int] = []
     for i in range(q):
-        a = np.roll(ph.alpha, i)
-        if not any(np.allclose(a, p.alpha) for p in out):
-            out.append(replace(ph, alpha=a))
-    return out
+        if not close[i, kept].any():
+            kept.append(i)
+    return [replace(ph, alpha=rolls[i]) for i in kept]
 
 
 def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
@@ -576,29 +584,18 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
     uniform_fp = treefix.make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))
     uniform = _phase_from_fixpoint(model, delta, uniform_fp)
     maj = treefix.majority_fixpoint(q, delta, B)
-
-    if maj is None:
-        psi1_max = uniform.psi1
-        uniform = _with_dominance(uniform, psi1_max)
-        return PhaseDiagram(
-            regime="disordered-only",
-            dif=-np.inf,
-            thresholds=th,
-            local_maxima=[uniform],
-            dominant=[uniform],
-        )
-
-    ordered = _phase_from_fixpoint(model, delta, maj)
-    dif = dif_value(q, delta, B)
-    psi1_max = max(uniform.psi1, ordered.psi1)
+    dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
+    if maj is not None:
+        ordered = _phase_from_fixpoint(model, delta, maj)
+        dif = _dif_of_ratio(q, delta, maj.potts_structure[1])
+        psi1_max = max(uniform.psi1, ordered.psi1)
+        ordered_orbit = _orbit(_with_dominance(ordered, psi1_max))
     uniform = _with_dominance(uniform, psi1_max)
-    ordered = _with_dominance(ordered, psi1_max)
-    ordered_orbit = _orbit(ordered)
 
-    if abs(B - th.Bo) <= 1e-9:
+    if maj is not None and abs(B - th.Bo) <= 1e-9:
         regime = "coexistence"
         dominant = [uniform] + ordered_orbit
-    elif B < th.Bu:
+    elif maj is None or B < th.Bu:
         regime = "disordered-only"
         dominant = [uniform]
     elif B < th.Bo:

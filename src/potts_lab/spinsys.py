@@ -65,54 +65,18 @@ class Phase:
         return len(self.alpha)
 
 
-def _support_components(support: np.ndarray) -> list[set[int]]:
-    q = support.shape[0]
-    seen = [False] * q
-    comps = []
-    for s in range(q):
-        if seen[s]:
-            continue
-        comp, stack = {s}, [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(support[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(int(w))
-                    stack.append(int(w))
-        comps.append(comp)
-    return comps
-
-
 def _is_ergodic(entries: np.ndarray) -> bool:
-    # irreducible: support graph connected; aperiodic: support graph is
-    # non-bipartite once loops (positive diagonal) are counted as odd cycles
+    # ergodic = primitive support: connected, with an odd cycle (a loop counts).
+    # A primitive q x q support has a positive k-th power for every
+    # k >= (q-1)^2 + 1 (Wielandt); no power of any other support is positive
     support = entries > 0
-    if len(_support_components(support)) != 1:
-        return False
-    if np.any(np.diag(support)):
-        return True
-    # 2-color the loopless support graph; failure means an odd cycle exists
-    q = entries.shape[0]
-    color = [-1] * q
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(support[v])[0]:
-            if w == v:
-                continue
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                stack.append(int(w))
-            elif color[w] == color[v]:
-                return True
-    return False
+    for _ in range(((entries.shape[0] - 1) ** 2).bit_length()):
+        support = support @ support
+    return bool(support.all())
 
 
-def _signature_of(entries: np.ndarray) -> Signature:
-    w = np.linalg.eigvalsh(entries)
+def _signature_of(w: np.ndarray) -> Signature:
+    """Signature from the ascending eigenvalues w of an interaction matrix."""
     if np.any(np.abs(w) < ZERO_EIGENVALUE_TOL):
         return Signature.INDEFINITE
     if np.all(w > 0):
@@ -142,7 +106,7 @@ def interaction_matrix(entries) -> InteractionMatrix:
     return InteractionMatrix(
         q=q,
         entries=entries,
-        signature=_signature_of(entries),
+        signature=_signature_of(np.linalg.eigvalsh(entries)),
         ergodic=_is_ergodic(entries),
     )
 
@@ -157,8 +121,15 @@ def build_potts_matrix(q: int, B: float) -> InteractionMatrix:
         raise ValueError("need q >= 2 spins")
     if not B > 0:
         raise ValueError("Potts activity B must be positive")
+    if not np.isfinite(B):
+        raise ValueError("Potts activity B must be finite")
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported maximum {MAX_Q}")
     entries = np.ones((q, q)) + (B - 1.0) * np.eye(q)
-    return interaction_matrix(entries)
+    entries.flags.writeable = False
+    w = np.array([B - 1.0] * (q - 1) + [B + q - 1.0])  # the spectrum, ascending
+    # every entry is positive, so the support is complete with loops: ergodic
+    return InteractionMatrix(q, entries, _signature_of(w), ergodic=True)
 
 
 def classify_signature(model: InteractionMatrix) -> Signature:

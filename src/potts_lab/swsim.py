@@ -52,15 +52,9 @@ class GapCheck:
     threshold: float
 
 
-def _edge_arrays(g: RegularGraph):
-    """Endpoints of the non-loop edges, and the number of self-loops."""
-    is_loop = g.edges[:, 0] == g.edges[:, 1]
-    return g.edges[~is_loop, 0], g.edges[~is_loop, 1], int(np.count_nonzero(is_loop))
-
-
 def mono_edge_count(g: RegularGraph, colors) -> int:
     colors = np.asarray(colors)
-    u, v, loops = _edge_arrays(g)
+    u, v, loops = g.loop_split
     return int(np.count_nonzero(colors[u] == colors[v])) + loops
 
 
@@ -87,22 +81,22 @@ def components(n: int, a, b):
     return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[label]
 
 
-def _step_arrays(u, v, loops, n, q, B, colors, rng):
-    mono = np.nonzero(colors[u] == colors[v])[0]
+def _step_arrays(same, u, v, n, q, B, rng):
+    """Colors after one step; same[i] tells whether edge (u[i], v[i]) is monochromatic."""
+    mono = np.nonzero(same)[0]
     kept = mono[rng.random(mono.size) < (1.0 - 1.0 / B)]
     count, comp_of = components(n, u[kept], v[kept])
-    new_colors = rng.integers(0, q, size=count)[comp_of]
-    mono_after = int(np.count_nonzero(new_colors[u] == new_colors[v])) + loops
-    return new_colors, mono_after
+    return rng.integers(0, q, size=count)[comp_of]
 
 
 def sw_step(g: RegularGraph, q: int, B: float, state: SWState, rng) -> SWState:
     """One Swendsen-Wang update; requires B >= 1."""
     if B < 1:
         raise ValueError("Swendsen-Wang step requires B >= 1")
-    u, v, loops = _edge_arrays(g)
-    colors, mono = _step_arrays(u, v, loops, g.n, q, B, np.asarray(state.colors), rng)
-    return SWState(colors=colors, mono_edges=mono)
+    u, v, _ = g.loop_split
+    colors = np.asarray(state.colors)
+    colors = _step_arrays(colors[u] == colors[v], u, v, g.n, q, B, rng)
+    return SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
 
 
 def phase_of(colors, q: int, members=None) -> int:
@@ -221,17 +215,17 @@ def run_chain(
     delta = g.delta
     rng = chain_rng(seed)
     colors = initial_state(g, q, B, delta, start, rng)
-    u, v, loops = _edge_arrays(g)
+    u, v, loops = g.loop_split
     phases = np.zeros(steps + 1, dtype=np.int64)
     freqs = np.zeros((steps + 1, q))
     mono = np.zeros(steps + 1)
     for t in range(steps + 1):
-        counts = np.bincount(colors, minlength=q)
-        freqs[t] = counts / g.n
+        freqs[t] = np.bincount(colors, minlength=q) / g.n
         phases[t] = phase_of(colors, q, members)
-        mono[t] = (int(np.count_nonzero(colors[u] == colors[v])) + loops) / g.n
+        same = colors[u] == colors[v]
+        mono[t] = (int(np.count_nonzero(same)) + loops) / g.n
         if t < steps:
-            colors, _ = _step_arrays(u, v, loops, g.n, q, B, colors, rng)
+            colors = _step_arrays(same, u, v, g.n, q, B, rng)
     return SWTrace(
         phase=phases,
         freqs=freqs,
@@ -256,7 +250,7 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
         raise SizeGuardError(f"{q}^{n} states exceed the exact-kernel guard")
     states = all_colorings(n, q)
     n_states = len(states)
-    u, v, _ = _edge_arrays(g)
+    u, v, _ = g.loop_split
     powers = q ** np.arange(n)
     keep_p = 1.0 - 1.0 / B
     assignments_cache = {}

@@ -29,6 +29,10 @@ BISECT_TOL = 1e-13
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
 
+# two_value_roots' scan grid on (1, 2^20), shared read-only by every call
+_Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
+_Y_GRID.flags.writeable = False
+
 ATTRACTIVE = "attractive"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
@@ -51,7 +55,6 @@ class Fixpoint:
 @dataclass(frozen=True)
 class JacobianReport:
     matrix: np.ndarray
-    full_spectrum: np.ndarray
     restricted_spectrum: np.ndarray
     jacobian_eigen: np.ndarray
 
@@ -110,7 +113,7 @@ def _complement_basis(e: np.ndarray) -> np.ndarray:
 
 
 def jacobian_matrix(model: InteractionMatrix, delta: int, fp) -> JacobianReport:
-    """The symmetric map M at a fixpoint, with full and restricted spectra.
+    """The symmetric map M at a fixpoint, with its restricted spectrum.
 
     The restricted spectrum lives on the subspace sum_i sqrt(alpha_i) r_i = 0;
     Jacobian eigenvalues are (Delta-1) times the restricted eigenvalues.
@@ -124,12 +127,10 @@ def jacobian_matrix(model: InteractionMatrix, delta: int, fp) -> JacobianReport:
     alpha = alpha / alpha.sum()
     e = np.sqrt(alpha)
     M = model.entries * np.outer(R, R) / np.outer(e, e)
-    full = np.linalg.eigvalsh(M)
     Q = _complement_basis(e)
     restricted = np.linalg.eigvalsh(Q.T @ M @ Q)
     return JacobianReport(
         matrix=M,
-        full_spectrum=full,
         restricted_spectrum=restricted,
         jacobian_eigen=(delta - 1) * restricted,
     )
@@ -229,22 +230,22 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     def g(y):
         return _activity_of_ratio(y, q, d, t) - target
 
-    ys = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
     with np.errstate(over="ignore", invalid="ignore"):
-        gs = (ys - 1.0) * (t * ys**d + q - t) / (ys**d - ys) - target
+        yd = _Y_GRID**d
+        gs = (_Y_GRID - 1.0) * (t * yd + q - t) / (yd - _Y_GRID) - target
         crossing = gs[:-1] * gs[1:] < 0
-    roots = [float(y) for y in ys[:-1][gs[:-1] == 0.0]]
+    roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
     for i in np.nonzero(crossing)[0]:
-        roots.append(_bisect(g, float(ys[i]), float(ys[i + 1])))
+        roots.append(_bisect(g, float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
     # near-tangency: a positive local grid minimum may hide a root pair
     mid = gs[1:-1]
     tangent = (mid > 0) & (mid <= gs[:-2]) & (mid <= gs[2:]) & (mid < 1e-3)
     for i in np.nonzero(tangent)[0] + 1:
-        ymin = _golden_min(g, float(ys[i - 1]), float(ys[i + 1]))
+        ymin = _golden_min(g, float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1]))
         gmin = g(ymin)
         if gmin < 0:
-            roots.append(_bisect(g, float(ys[i - 1]), ymin))
-            roots.append(_bisect(g, ymin, float(ys[i + 1])))
+            roots.append(_bisect(g, float(_Y_GRID[i - 1]), ymin))
+            roots.append(_bisect(g, ymin, float(_Y_GRID[i + 1])))
         elif gmin <= 1e-12:
             roots.append(ymin)
     roots.sort()

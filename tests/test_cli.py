@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from potts_lab.cli import run_command
 
@@ -77,6 +78,14 @@ def test_norm_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["delta_ln_norm"] - (1.5 * math.log(12) - 2 * math.log(3))) < 1e-8
+
+
+def test_norm_argmax_at_coexistence_is_the_first_maximizer(capsys):
+    # at Bo(4, 4) the uniform and the ordered vectors both attain the norm;
+    # the uniform start comes first and must win whatever the last bits say
+    argv = ["norm", "--model", "potts", "--q", "4", "--B", "2.7320508075688776", "--delta", "4"]
+    assert run_command(argv) == 0
+    assert json.loads(capsys.readouterr().out)["argmax"] == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_graph_sample_reproducible(tmp_path):
@@ -266,6 +275,22 @@ def test_config_values_go_through_the_option_type(tmp_path, capsys):
     argv = ["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5"]
     assert _config_run(tmp_path, {"seed": 6}, argv) == 0
     assert capsys.readouterr().out.startswith('# config: {"delta": 3, "n": 8, "seed": 6}')
+
+
+def test_config_can_supply_required_options(tmp_path, capsys):
+    assert _config_run(tmp_path, {"q": 3}, ["thresholds", "--delta", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == {"q": 3, "delta": 3}
+    assert payload["Brc"] == 4.0
+    # a required option given in neither place is still a usage error
+    assert _config_run(tmp_path, {"q": 3}, ["fixpoints", "--delta", "3"]) == 1
+    assert "the following arguments are required: --B" in capsys.readouterr().err
+    assert run_command(["thresholds", "--delta", "3"]) == 1
+    assert "the following arguments are required: --q" in capsys.readouterr().err
+    # help still shows them as required
+    with pytest.raises(SystemExit):
+        run_command(["thresholds", "-h"])
+    assert "usage: potts-lab thresholds [-h] --q Q --delta DELTA" in capsys.readouterr().out
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

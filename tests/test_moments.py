@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from potts_lab import treefix
 from potts_lab.moments import (
+    _orbit,
     dif_value,
     first_moment_exact,
     inner_edge_max,
@@ -19,7 +21,12 @@ from potts_lab.moments import (
     second_moment_exact,
     small_graph_constants,
 )
-from potts_lab.spinsys import SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
+from potts_lab.spinsys import Phase, SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
+
+
+# recorded while a phase query still rebuilt its model and majority fixpoint
+# several times; doing each once must not move a single output bit
+PINNED_PHASE_QUERY_DIGEST = "0a53b7c124641613548751a95f3c25f3e782b9eabd73ccf002f31eb4807804d2"
 
 
 def colorings_matrix(q=3):
@@ -280,3 +287,73 @@ def test_criterion_4_cells_match_pinned_values():
         assert rep.psi1_max == cell["psi1_max"]
         assert rep.psi2_max == cell["psi2_max"]
         assert abs(rep.norm_value - cell["norm_value"]) <= 1e-14 * cell["norm_value"]
+
+
+def _loop_orbit(alpha):
+    """Reference: the distinct rolls of alpha, compared with np.allclose."""
+    out = []
+    for i in range(len(alpha)):
+        a = np.roll(alpha, i)
+        if not any(np.allclose(a, b) for b in out):
+            out.append(a)
+    return out
+
+
+def test_orbit_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    alphas = [
+        np.full(4, 0.25),
+        np.array([0.4, 0.1, 0.4, 0.1]),
+        np.array([0.7, 0.1, 0.1, 0.1]),
+        np.array([0.5, 0.5 - 5e-9, 1e-9, 1e-9]),  # rolls within atol of each other
+        np.array([0.3, 0.3 + 2e-6, 0.2, 0.2 - 2e-6]),  # within rtol
+        np.array([0.3, 0.3 + 2e-5, 0.2, 0.2 - 2e-5]),  # just outside
+        potts_phase_diagram(6, 4, 8.0).local_maxima[-1].alpha,
+    ]
+    alphas += [a / a.sum() for a in rng.random((20, 5))]
+    alphas += [np.tile(rng.random(k), 6 // k) for k in (1, 2, 3)]
+    for alpha in alphas:
+        got = [ph.alpha for ph in _orbit(Phase(alpha=alpha))]
+        want = _loop_orbit(alpha)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _phase_query_digest() -> str:
+    """SHA-256 over every phase-query output on the q, delta in 3..10 grid at
+    the 20 B values np.linspace(1.05, 2 Brc, 20) of each (q, delta)."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        for p in parts:
+            if isinstance(p, str):
+                h.update(p.encode() + b"\0")
+            else:
+                h.update(np.asarray(p, dtype=np.float64).tobytes())
+
+    for q in range(3, 11):
+        for delta in range(3, 11):
+            th = treefix.potts_thresholds(q, delta)
+            put(th.Bu, th.Bo, th.Brc)
+            for B in np.linspace(1.05, 2 * th.Brc, 20):
+                B = float(B)
+                model = build_potts_matrix(q, B)
+                fps = treefix.potts_fixpoints(q, delta, B)
+                put(B, len(fps))
+                for fp in fps:
+                    put(fp.R, fp.jacobian_eigen, fp.stability, fp.residual)
+                    put(treefix.classify_stability(model, delta, fp).hessian_eigen)
+                pd = potts_phase_diagram(q, delta, B)
+                put(pd.regime, pd.dif, len(pd.local_maxima), len(pd.dominant))
+                for ph in pd.local_maxima + pd.dominant:
+                    put(ph.alpha, ph.psi1, ph.hessian_eigen)
+                    put(ph.local_max, ph.hessian_local_max, ph.dominant, ph.hessian_dominant)
+                try:
+                    put(dif_value(q, delta, B))
+                except ValueError:
+                    put("below Bu")
+    return h.hexdigest()
+
+
+def test_phase_queries_match_pinned_digest():
+    assert _phase_query_digest() == PINNED_PHASE_QUERY_DIGEST
