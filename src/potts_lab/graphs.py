@@ -18,16 +18,6 @@ import numpy as np
 
 from .spinsys import InteractionMatrix, SizeGuardError
 
-ROLE_NAMES = (
-    "Uplus",
-    "Uminus",
-    "Wplus",
-    "Wminus",
-    "treeInternal",
-    "rootPlus",
-    "rootMinus",
-)
-
 BRUTE_GIBBS_GUARD = 2_000_000
 ENUMERATE_POINTS_GUARD = 16
 
@@ -47,10 +37,6 @@ class RegularGraph:
         return np.bincount(self.edges[:, 0], minlength=self.n) + np.bincount(
             self.edges[:, 1], minlength=self.n
         )
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     @cached_property
     def loop_split(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -189,7 +175,7 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GibbsOracle:
-    """Exact partition function with phase- and edge-restricted tables."""
+    """Exact partition function with the phase-restricted table z_by_phase."""
 
     graph: RegularGraph
     q: int
@@ -197,7 +183,6 @@ class GibbsOracle:
     Z: float
     weights: np.ndarray  # per configuration, indexed by sum_v color_v q^v
     z_by_phase: dict
-    z_by_phase_edges: dict
 
     def probabilities(self) -> np.ndarray:
         return self.weights / self.Z
@@ -230,25 +215,12 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
     weights = np.exp(logw)
     weights[np.isnan(weights)] = 0.0  # 0-weight edges force impossible states
 
-    counts = np.zeros((len(states), q), dtype=np.int64)
-    for c in range(q):
-        counts[:, c] = np.sum(states == c, axis=1)
-
-    edge_vec = np.zeros((len(states), q * (q + 1) // 2), dtype=np.int64)
-    rows = np.arange(len(states))
-    for u, v in g.edges:
-        cu, cv = states[:, u], states[:, v]
-        lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
-        flat = lo * q - lo * (lo - 1) // 2 + (hi - lo)
-        np.add.at(edge_vec, (rows, flat), 1)
+    counts = np.count_nonzero(states[:, :, None] == np.arange(q), axis=1)
 
     z_by_phase: dict = {}
-    z_by_phase_edges: dict = {}
     for idx in range(len(states)):
         key = tuple(counts[idx])
         z_by_phase[key] = z_by_phase.get(key, 0.0) + weights[idx]
-        key2 = (key, tuple(edge_vec[idx]))
-        z_by_phase_edges[key2] = z_by_phase_edges.get(key2, 0.0) + weights[idx]
 
     return GibbsOracle(
         graph=g,
@@ -257,7 +229,6 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
         Z=float(weights.sum()),
         weights=weights,
         z_by_phase=z_by_phase,
-        z_by_phase_edges=z_by_phase_edges,
     )
 
 

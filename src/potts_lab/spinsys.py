@@ -41,9 +41,6 @@ class InteractionMatrix:
     signature: Signature
     ergodic: bool
 
-    def cholesky(self) -> np.ndarray:
-        return cholesky_factor(self)
-
     def to_json(self) -> dict:
         return {"q": self.q, "entries": self.entries.tolist()}
 

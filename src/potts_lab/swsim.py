@@ -7,7 +7,8 @@ component with a uniform color.  Self-loops are monochromatic by definition
 (they count toward the monochromatic edge total) but never affect components.
 Components are numbered 0, 1, ... in order of their smallest vertex, and
 component i takes the i-th fresh color drawn, so a run is deterministic per
-seed.
+seed.  `components` labels them by min-label hooking and pointer jumping,
+contracting each level to the trees that still share a kept edge.
 
 The module also carries the disordered/ordered expected monochromatic edge
 densities E_u and E_m, the U/M/T configuration classes built from them, an
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import treefix
 from .graphs import RegularGraph, all_colorings, brute_gibbs
+from .graphs import graph_rng as chain_rng  # chains draw from the same Philox family
 from .spinsys import SizeGuardError, build_potts_matrix
 
 EXACT_KERNEL_GUARD = 20000
@@ -62,40 +64,58 @@ def components(n: int, a, b):
     """Connected components of the graph on vertices 0..n-1 with edges
     (a[i], b[i]): returns (count, label) with components numbered 0, 1, ...
     in order of their smallest member.  Min-label hooking with pointer
-    jumping (Shiloach and Vishkin, J. Algorithms 1982)."""
-    label = np.arange(n)
+    jumping (Shiloach and Vishkin, J. Algorithms 1982), contracted level by
+    level: each level hooks every vertex under its smallest neighbour, jumps
+    until all point at their tree's root (its smallest vertex) and maps the
+    edges onto the roots; the next level runs on the edges that still join
+    two trees and the k roots they touch, renumbered 0..k-1 in order."""
+    size, levels = n, []
     while True:
-        la, lb = label[a], label[b]
-        differ = la != lb
-        if not differ.any():
+        parent = np.arange(n)
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while np.count_nonzero((jumped := parent[parent]) != parent):
+            parent = jumped
+        a, b = parent[a], parent[b]
+        live = a != b
+        if not np.count_nonzero(live):
             break
-        # every label is a root here; hook the larger root under the smaller
-        la, lb = la[differ], lb[differ]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    root = label == np.arange(n)
-    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[label]
+        a, b = a.compress(live), b.compress(live)
+        touched = np.zeros(n, dtype=bool)
+        touched[a] = touched[b] = True
+        roots = touched.nonzero()[0]
+        # numbering by scatter: a cumulative sum over n costs several times more
+        index = np.empty(n, dtype=np.int64)
+        index[roots] = np.arange(roots.size)
+        a, b, n = index[a], index[b], roots.size
+        levels.append((parent, roots))
+    for below, roots in reversed(levels):
+        below[roots] = roots[parent]
+        parent = below[below]
+    roots = (parent == np.arange(size)).nonzero()[0]
+    label = np.empty(size, dtype=np.int64)
+    label[roots] = np.arange(roots.size)
+    return roots.size, label[parent]
 
 
-def _step_arrays(same, u, v, n, q, B, rng):
-    """Colors after one step; same[i] tells whether edge (u[i], v[i]) is monochromatic."""
-    mono = np.nonzero(same)[0]
-    kept = mono[rng.random(mono.size) < (1.0 - 1.0 / B)]
+def _check_activity(B) -> None:
+    """Swendsen-Wang needs a ferromagnetic activity B >= 1 (NaN fails too)."""
+    if not B >= 1:
+        raise ValueError(f"Swendsen-Wang needs B >= 1, got {B}")
+
+
+def _step_arrays(mono, u, v, n, q, B, rng):
+    """Colors after one step; mono indexes the monochromatic edges (u[i], v[i])."""
+    kept = mono.compress(rng.random(mono.size) < (1.0 - 1.0 / B))
     count, comp_of = components(n, u[kept], v[kept])
     return rng.integers(0, q, size=count)[comp_of]
 
 
 def sw_step(g: RegularGraph, q: int, B: float, state: SWState, rng) -> SWState:
     """One Swendsen-Wang update; requires B >= 1."""
-    if B < 1:
-        raise ValueError("Swendsen-Wang step requires B >= 1")
+    _check_activity(B)
     u, v, _ = g.loop_split
     colors = np.asarray(state.colors)
-    colors = _step_arrays(colors[u] == colors[v], u, v, g.n, q, B, rng)
+    colors = _step_arrays((colors[u] == colors[v]).nonzero()[0], u, v, g.n, q, B, rng)
     return SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
 
 
@@ -111,11 +131,18 @@ def phase_of(colors, q: int, members=None) -> int:
     return int(np.argmax(np.bincount(colors, minlength=q)))
 
 
+def _majority(q: int, delta: int, B: float):
+    return treefix.majority_fixpoint(q, delta, B) if B > 1 else None
+
+
 def expected_mono(q: int, delta: int, B: float):
     """Per-vertex expected monochromatic edge counts (E_u, E_m); E_m is None
     below the uniqueness threshold where no majority fixpoint exists."""
+    return _expected_mono(q, delta, B, _majority(q, delta, B))
+
+
+def _expected_mono(q: int, delta: int, B: float, fp):
     E_u = 0.5 * delta * B / (q + B - 1.0)
-    fp = treefix.majority_fixpoint(q, delta, B) if B > 1 else None
     if fp is None:
         return E_u, None
     x = fp.potts_structure[1]
@@ -138,7 +165,10 @@ def sw_gap_check(q: int, delta: int) -> GapCheck:
 def ordered_phase_vector(q: int, delta: int, B: float, color: int = 0) -> np.ndarray:
     """Color-frequency vector of the ordered phase dominated by `color`,
     with the majority weight taken from the attractive majority fixpoint."""
-    fp = treefix.majority_fixpoint(q, delta, B)
+    return _phase_vector(q, treefix.majority_fixpoint(q, delta, B), color)
+
+
+def _phase_vector(q: int, fp, color: int = 0) -> np.ndarray:
     if fp is None:
         raise ValueError("no ordered phase below the uniqueness threshold")
     a = float(np.max(fp.alpha))
@@ -150,12 +180,15 @@ def ordered_phase_vector(q: int, delta: int, B: float, color: int = 0) -> np.nda
 def default_epsilon(q: int, delta: int, B: float) -> float:
     """Half of half the separation between the disordered and ordered
     reference statistics."""
-    E_u, E_m = expected_mono(q, delta, B)
+    return _default_epsilon(q, delta, B, _majority(q, delta, B))
+
+
+def _default_epsilon(q: int, delta: int, B: float, fp) -> float:
+    E_u, E_m = _expected_mono(q, delta, B, fp)
     if E_m is None:
         raise ValueError("epsilon default needs the ordered phase (B >= Bu)")
     u = np.full(q, 1.0 / q)
-    m = ordered_phase_vector(q, delta, B)
-    return 0.25 * min(float(np.max(np.abs(u - m))), abs(E_m - E_u))
+    return 0.25 * min(float(np.max(np.abs(u - _phase_vector(q, fp)))), abs(E_m - E_u))
 
 
 def classify_UMT(
@@ -163,28 +196,25 @@ def classify_UMT(
 ) -> str:
     """U / M / T classification by color frequencies and monochromatic edge
     density; one epsilon serves both conditions unless eps_edge is given."""
+    fp = _majority(q, delta, B)
     if eps is None:
-        eps = default_epsilon(q, delta, B)
+        eps = _default_epsilon(q, delta, B, fp)
     if eps_edge is None:
         eps_edge = eps
     colors = np.asarray(colors)
     c = np.bincount(colors, minlength=q) / g.n
     density = mono_edge_count(g, colors) / g.n
-    E_u, E_m = expected_mono(q, delta, B)
+    E_u, E_m = _expected_mono(q, delta, B, fp)
     u = np.full(q, 1.0 / q)
     if np.max(np.abs(c - u)) <= eps and abs(density - E_u) < eps_edge:
         return "U"
     if E_m is not None:
-        base = ordered_phase_vector(q, delta, B)
+        base = _phase_vector(q, fp)
         for j in range(q):
             m_j = np.roll(base, j)
             if np.max(np.abs(c - m_j)) <= eps and abs(density - E_m) < eps_edge:
                 return "M"
     return "T"
-
-
-def chain_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def initial_state(g: RegularGraph, q: int, B: float, delta: int, start, rng) -> np.ndarray:
@@ -212,20 +242,25 @@ def run_chain(
 ) -> SWTrace:
     """Run Swendsen-Wang and record phase label, color frequencies and
     monochromatic edge density at t = 0..steps.  Deterministic per seed."""
-    delta = g.delta
+    _check_activity(B)
+    if members is not None:
+        members = np.asarray(list(members), dtype=np.int64)
+        if not members.size:
+            raise ValueError("phase is undefined for an empty vertex set")
     rng = chain_rng(seed)
-    colors = initial_state(g, q, B, delta, start, rng)
+    colors = initial_state(g, q, B, g.delta, start, rng)
     u, v, loops = g.loop_split
     phases = np.zeros(steps + 1, dtype=np.int64)
     freqs = np.zeros((steps + 1, q))
     mono = np.zeros(steps + 1)
     for t in range(steps + 1):
-        freqs[t] = np.bincount(colors, minlength=q) / g.n
-        phases[t] = phase_of(colors, q, members)
-        same = colors[u] == colors[v]
-        mono[t] = (int(np.count_nonzero(same)) + loops) / g.n
+        counts = np.bincount(colors, minlength=q)
+        freqs[t] = counts / g.n
+        phases[t] = np.argmax(counts if members is None else np.bincount(colors[members], minlength=q))
+        alike = (colors[u] == colors[v]).nonzero()[0]
+        mono[t] = (alike.size + loops) / g.n
         if t < steps:
-            colors = _step_arrays(same, u, v, g.n, q, B, rng)
+            colors = _step_arrays(alike, u, v, g.n, q, B, rng)
     return SWTrace(
         phase=phases,
         freqs=freqs,
@@ -243,8 +278,7 @@ def run_chain(
 def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
     """The full transition matrix over q^n states, by summing over all subsets
     of kept monochromatic edges and all component recolorings."""
-    if B < 1:
-        raise ValueError("Swendsen-Wang kernel requires B >= 1")
+    _check_activity(B)
     n = g.n
     if q**n > EXACT_KERNEL_GUARD:
         raise SizeGuardError(f"{q}^{n} states exceed the exact-kernel guard")
@@ -253,7 +287,6 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
     u, v, _ = g.loop_split
     powers = q ** np.arange(n)
     keep_p = 1.0 - 1.0 / B
-    assignments_cache = {}
     P = np.zeros((n_states, n_states))
     for s in range(n_states):
         colors = states[s]
@@ -270,10 +303,8 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
             prob = keep_p**kept * (1.0 - keep_p) ** (m - kept)
             comp_of = labels[mask]
             c = int(comp_of.max(initial=-1)) + 1
-            if c not in assignments_cache:
-                assignments_cache[c] = all_colorings(c, q)
-            assign = assignments_cache[c]
-            targets = assign[:, comp_of] @ powers
+            # the first q^c states run through every coloring of c components
+            targets = states[: q**c, comp_of] @ powers
             np.add.at(P[s], targets, prob / q**c)
     return P
 

@@ -122,6 +122,19 @@ def test_sw_exact_command(tmp_path, capsys):
     assert abs(payload["conductance"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("B", ["0.5", "0", "nan"])
+def test_sw_commands_reject_activity_below_one(tmp_path, capsys, B):
+    g = tmp_path / "tri.graph"
+    g.write_text("3 2\n0 1\n1 2\n0 2\n")
+    out = tmp_path / "out"
+    base = ["--graph", str(g), "--q", "2", "--B", B]
+    assert run_command(["sw", "run", *base, "--steps", "5", "--csv", str(out)]) == 1
+    assert run_command(["sw", "exact", *base, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: Swendsen-Wang needs B >= 1, got {float(B)}"] * 2
+    assert not out.exists()
+
+
 def test_gadget_and_reduce_cli(tmp_path):
     gad = tmp_path / "gadget.graph"
     rc = run_command(

@@ -15,6 +15,7 @@ from potts_lab.swsim import (
     exact_sw_kernel,
     expected_mono,
     gibbs_distribution,
+    initial_state,
     mono_edge_count,
     ordered_phase_vector,
     phase_cut,
@@ -44,6 +45,19 @@ def test_sw_step_validation_and_trivial_cases():
     for _ in range(5):
         s = sw_step(triangle(), 1, 2.0, s, rng)
         assert np.all(s.colors == 0)
+
+
+@pytest.mark.parametrize("B", [0.5, 0.0, float("nan")])
+def test_sw_rejects_activity_below_one_before_drawing(B):
+    g = k2()
+    rng = chain_rng(0)
+    with pytest.raises(ValueError, match="B >= 1"):
+        sw_step(g, 2, B, SWState(colors=np.array([0, 0]), mono_edges=1), rng)
+    assert rng.random() == chain_rng(0).random()
+    with pytest.raises(ValueError, match="B >= 1"):
+        run_chain(g, 2, B, steps=3)
+    with pytest.raises(ValueError, match="B >= 1"):
+        exact_sw_kernel(g, 2, B)
 
 
 def test_sw_step_k2_transition_probability():
@@ -188,6 +202,28 @@ def test_default_epsilon_positive():
     assert 0 < eps < 0.5
 
 
+def test_classify_umt_finds_the_majority_fixpoint_once(monkeypatch):
+    from potts_lab import treefix
+
+    Bo = potts_thresholds(3, 3).Bo
+    g = pairing_sample(64, 3, seed=2)
+    colorings = [chain_rng(4).integers(0, 3, size=64), np.zeros(64, dtype=np.int64)]
+    eps = default_epsilon(3, 3, Bo)
+    expect = [classify_UMT(c, g, 3, 3, Bo, eps=eps) for c in colorings]
+    calls = []
+    real = treefix.majority_fixpoint
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(treefix, "majority_fixpoint", counted)
+    for c, want in zip(colorings, expect):
+        calls.clear()
+        assert classify_UMT(c, g, 3, 3, Bo) == want
+        assert len(calls) == 1
+
+
 def test_run_chain_b1_mono_density():
     g = pairing_sample(400, 3, seed=3)
     tr = run_chain(g, 6, 1.0, steps=4000, start="disordered", seed=8)
@@ -216,6 +252,23 @@ def test_run_chain_ordered_start():
     g = pairing_sample(60, 3, seed=10)
     tr = run_chain(g, 6, th.Bo, steps=10, start=("ordered", 2), seed=4)
     assert tr.phase[0] == 2  # the initial record reflects the ordered draw
+
+
+def test_run_chain_members_phase_matches_phase_of():
+    # the same chain stepped by sw_step, with the phase of each step from phase_of
+    g = pairing_sample(40, 3, seed=6)
+    members = range(5, 30, 2)
+    tr = run_chain(g, 3, 2.5, steps=30, start="disordered", seed=11, members=members)
+    rng = chain_rng(11)
+    colors = initial_state(g, 3, 2.5, g.delta, "disordered", rng)
+    state = SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
+    for t in range(31):
+        assert tr.phase[t] == phase_of(state.colors, 3, members)
+        assert np.array_equal(tr.freqs[t], np.bincount(state.colors, minlength=3) / g.n)
+        state = sw_step(g, 3, 2.5, state, rng)
+    assert not np.array_equal(tr.phase, run_chain(g, 3, 2.5, steps=30, seed=11).phase)
+    with pytest.raises(ValueError, match="empty vertex set"):
+        run_chain(g, 3, 2.5, steps=3, members=[])
 
 
 def test_exact_kernel_k2():
@@ -338,14 +391,35 @@ def _bfs_components(n, a, b):
     return count, label
 
 
+def _disjoint_copies(n, a, b):
+    """The exact kernel's layout: copy r of the graph keeps the edges of subset r."""
+    m = len(a)
+    copy, k = np.nonzero((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
+    return 2**m * n, (np.array(a)[k] + copy * n).tolist(), (np.array(b)[k] + copy * n).tolist()
+
+
 def test_components_matches_bfs_reference():
     rng = np.random.default_rng(5)
-    cases = [(1, [], []), (1, [0], [0]), (5, [], []), (4, [3, 2], [3, 1])]
+    cases = [(0, [], []), (1, [], []), (1, [0], [0]), (5, [], []), (4, [3, 2], [3, 1])]
+    # a path whose vertex numbers descend along it hooks into one deepest tree
+    cases.append((500, list(range(499, 0, -1)), list(range(498, -1, -1))))
+    order = rng.permutation(400)
+    cases.append((400, order[:-1].tolist(), order[1:].tolist()))
+    # stars centred on the smallest, the largest and a middle vertex
+    for centre in (0, 99, 50):
+        leaves = [v for v in range(100) if v != centre]
+        cases.append((100, leaves, [centre] * len(leaves)))
+    cases.append(_disjoint_copies(6, [0, 1, 2, 3, 4, 0], [1, 2, 0, 4, 5, 5]))
+    cases.append(_disjoint_copies(4, [3, 2, 1], [2, 1, 0]))
     for _ in range(300):
         n = int(rng.integers(1, 60))
         m = int(rng.integers(0, 2 * n))
         # random multigraphs: self-loops, parallel edges and isolated vertices
         cases.append((n, rng.integers(0, n, size=m).tolist(), rng.integers(0, n, size=m).tolist()))
+    for n in (1000, 2500, 5000):
+        for ratio in (0.3, 0.5, 0.9, 1.5):
+            m = int(ratio * n)
+            cases.append((n, rng.integers(0, n, size=m).tolist(), rng.integers(0, n, size=m).tolist()))
     for n, a, b in cases:
         count, label = components(n, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         want_count, want = _bfs_components(n, a, b)
@@ -367,6 +441,8 @@ PINNED_CHAINS = {
     (128, "disordered"): "58b0a5ea21f7b416e8256b9dd3419304b80e82cbf87132e8460eb653cf256ab3",
     (10000, "ordered"): "c81208ee4bea7fe4df239a1cc160dd6cb52fdb029f81ca775be338a38135e566",
     (10000, "disordered"): "88a17bd1853ca26ba035bebb46ab6fbf7a02de613ad3f8835d630e069479ea27",
+    (100000, "ordered"): "b728d274c3773ca11fb418f06f31f5aa178f236efe4a27e203944fe2c919f2ae",
+    (100000, "disordered"): "d598c98abcbe2d97bb7cb2b09bf7888691c3b9c6e738a1471e43744ba28e2c0a",
 }
 PINNED_KERNEL = "c2c0deade6813698ac760d0f347f89d11d6393e16ac9594facbc932fb3ff55b9"
 PINNED_EDGES = "28381f99bc5b5d75302a2032b434fd1fe7734d9f56b1d52957ce337d3964730e"
@@ -374,7 +450,7 @@ PINNED_EDGES = "28381f99bc5b5d75302a2032b434fd1fe7734d9f56b1d52957ce337d3964730e
 
 def test_pinned_digests():
     Bo = potts_thresholds(6, 3).Bo
-    for n, seed in ((128, 5), (10000, 6)):
+    for n, seed in ((128, 5), (10000, 6), (100000, 7)):
         g = pairing_sample(n, 3, seed=seed)
         starts = {"ordered": (("ordered", 0), 1), "disordered": ("disordered", 2)}
         for name, (start, chain_seed) in starts.items():
