@@ -151,11 +151,13 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_moments(args) -> int:
     model = _model_from_args(args)
     keys = ["model", "q", "B", "delta", "alpha", "exact_n", "seed"]
+    if args.exact_n is not None and args.alpha is None:
+        raise ValueError("--exact-n needs --alpha")
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         if len(alpha) != model.q:
             raise ValueError(f"alpha must have length q = {model.q}")
-        rep = moments.moment_report(model, args.delta, compute_psi2=False)
+        rep = moments.moment_report(model, args.delta, compute_psi2=False, seed=args.seed)
         p1 = moments.psi1(model, args.delta, alpha)
         p2 = float("nan") if args.no_psi2 else moments.psi2(model, args.delta, alpha)
         row = list(alpha) + [
@@ -172,7 +174,9 @@ def _cmd_moments(args) -> int:
         if args.exact_n:
             header.append(f"exact_log_mean_n{args.exact_n}")
     else:
-        rep = moments.moment_report(model, args.delta, compute_psi2=not args.no_psi2)
+        rep = moments.moment_report(
+            model, args.delta, compute_psi2=not args.no_psi2, seed=args.seed
+        )
         header = [f"alpha_{i}" for i in range(model.q)] + ["psi1", "psi2", "norm", "dominant"]
         rows = []
         for ph in rep.phases:

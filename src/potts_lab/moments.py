@@ -335,12 +335,13 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
     with the diagonal loop counts m_ii forced by the leftover (even) capacities.
     The off-diagonal variables are enumerated recursively except the final two,
     which couple only through one shared color and therefore reduce to a
-    convolution of two one-dimensional profiles.
+    convolution of two one-dimensional profiles.  Needs k >= 2 colors (the
+    model constructors reject q < 2), so there is at least one pair.
     """
     k = len(D)
     D = D.astype(int)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    head = pairs[:-2] if len(pairs) >= 2 else []
+    head = pairs[:-2]
     nodes = 1.0
     for i, j in head:
         nodes *= min(D[i], D[j]) + 1
@@ -378,11 +379,6 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
         return e, out
 
     def leaf(cap, used_log):
-        if len(pairs) == 0:
-            v = used_log + float(np.sum([loop_profile(c, [cap[c]])[0] for c in range(k)]))
-            if v > neg_inf:
-                chunks.append(base + v)
-            return
         if len(pairs) == 1:
             (i, j) = pairs[0]
             e, prof = edge_profile(i, j, min(cap[i], cap[j]))

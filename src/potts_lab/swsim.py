@@ -11,9 +11,10 @@ seed.  `components` labels them by min-label hooking and pointer jumping,
 contracting each level to the trees that still share a kept edge.
 
 The module also carries the disordered/ordered expected monochromatic edge
-densities E_u and E_m, the U/M/T configuration classes built from them, an
-exact transition kernel for tiny instances, and conductance evaluation for
-the phase bottleneck.
+densities E_u and E_m and the ordered phase vector (all three from one
+majority fixpoint per call), the U/M/T configuration classes built from them,
+an exact transition kernel for tiny instances, and conductance evaluation for
+the phase cut, the states whose dominant color is a given one.
 """
 
 from __future__ import annotations
@@ -119,35 +120,32 @@ def sw_step(g: RegularGraph, q: int, B: float, state: SWState, rng) -> SWState:
     return SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
 
 
-def phase_of(colors, q: int, members=None) -> int:
-    """Dominant color among the given vertex set (all vertices by default);
-    ties break to the lowest color index."""
-    colors = np.asarray(colors)
-    if members is not None:
-        members = list(members)
-        if not members:
-            raise ValueError("phase is undefined for an empty vertex set")
-        colors = colors[members]
-    return int(np.argmax(np.bincount(colors, minlength=q)))
+def phase_of(colors, q: int) -> int:
+    """Dominant color of a coloring; ties break to the lowest color index."""
+    return int(np.argmax(np.bincount(np.asarray(colors), minlength=q)))
 
 
-def _majority(q: int, delta: int, B: float):
-    return treefix.majority_fixpoint(q, delta, B) if B > 1 else None
+def _reference(q: int, delta: int, B: float):
+    """(E_u, E_m, vec) from one majority fixpoint: the per-vertex expected
+    monochromatic edge counts of the disordered and ordered phases and the
+    color-0 ordered phase vector.  E_m and vec are None below the uniqueness
+    threshold, where no majority fixpoint exists."""
+    E_u = 0.5 * delta * B / (q + B - 1.0)
+    fp = treefix.majority_fixpoint(q, delta, B) if B > 1 else None
+    if fp is None:
+        return E_u, None, None
+    x = fp.potts_structure[1]
+    E_m = 0.5 * delta * B * (x**2 + q - 1) / ((x + q - 1) ** 2 + (B - 1) * (x**2 + q - 1))
+    a = float(np.max(fp.alpha))
+    vec = np.full(q, (1.0 - a) / (q - 1.0))
+    vec[0] = a
+    return E_u, E_m, vec
 
 
 def expected_mono(q: int, delta: int, B: float):
     """Per-vertex expected monochromatic edge counts (E_u, E_m); E_m is None
     below the uniqueness threshold where no majority fixpoint exists."""
-    return _expected_mono(q, delta, B, _majority(q, delta, B))
-
-
-def _expected_mono(q: int, delta: int, B: float, fp):
-    E_u = 0.5 * delta * B / (q + B - 1.0)
-    if fp is None:
-        return E_u, None
-    x = fp.potts_structure[1]
-    E_m = 0.5 * delta * B * (x**2 + q - 1) / ((x + q - 1) ** 2 + (B - 1) * (x**2 + q - 1))
-    return E_u, E_m
+    return _reference(q, delta, B)[:2]
 
 
 def sw_gap_check(q: int, delta: int) -> GapCheck:
@@ -163,32 +161,27 @@ def sw_gap_check(q: int, delta: int) -> GapCheck:
 
 
 def ordered_phase_vector(q: int, delta: int, B: float, color: int = 0) -> np.ndarray:
-    """Color-frequency vector of the ordered phase dominated by `color`,
-    with the majority weight taken from the attractive majority fixpoint."""
-    return _phase_vector(q, treefix.majority_fixpoint(q, delta, B), color)
-
-
-def _phase_vector(q: int, fp, color: int = 0) -> np.ndarray:
-    if fp is None:
+    """Color-frequency vector of the ordered phase dominated by `color`
+    (0 <= color < q), with the majority weight taken from the attractive
+    majority fixpoint."""
+    if not 0 <= color < q:
+        raise ValueError(f"ordered phase color must be in 0..{q - 1}, got {color}")
+    vec = _reference(q, delta, B)[2]
+    if vec is None:
         raise ValueError("no ordered phase below the uniqueness threshold")
-    a = float(np.max(fp.alpha))
-    vec = np.full(q, (1.0 - a) / (q - 1.0))
-    vec[color] = a
-    return vec
+    return np.roll(vec, color)
+
+
+def _epsilon(q: int, E_u: float, E_m, vec) -> float:
+    if E_m is None:
+        raise ValueError("epsilon default needs the ordered phase (B >= Bu)")
+    return 0.25 * min(float(np.max(np.abs(np.full(q, 1.0 / q) - vec))), abs(E_m - E_u))
 
 
 def default_epsilon(q: int, delta: int, B: float) -> float:
     """Half of half the separation between the disordered and ordered
     reference statistics."""
-    return _default_epsilon(q, delta, B, _majority(q, delta, B))
-
-
-def _default_epsilon(q: int, delta: int, B: float, fp) -> float:
-    E_u, E_m = _expected_mono(q, delta, B, fp)
-    if E_m is None:
-        raise ValueError("epsilon default needs the ordered phase (B >= Bu)")
-    u = np.full(q, 1.0 / q)
-    return 0.25 * min(float(np.max(np.abs(u - _phase_vector(q, fp)))), abs(E_m - E_u))
+    return _epsilon(q, *_reference(q, delta, B))
 
 
 def classify_UMT(
@@ -196,30 +189,27 @@ def classify_UMT(
 ) -> str:
     """U / M / T classification by color frequencies and monochromatic edge
     density; one epsilon serves both conditions unless eps_edge is given."""
-    fp = _majority(q, delta, B)
+    E_u, E_m, vec = _reference(q, delta, B)
     if eps is None:
-        eps = _default_epsilon(q, delta, B, fp)
+        eps = _epsilon(q, E_u, E_m, vec)
     if eps_edge is None:
         eps_edge = eps
     colors = np.asarray(colors)
     c = np.bincount(colors, minlength=q) / g.n
     density = mono_edge_count(g, colors) / g.n
-    E_u, E_m = _expected_mono(q, delta, B, fp)
-    u = np.full(q, 1.0 / q)
-    if np.max(np.abs(c - u)) <= eps and abs(density - E_u) < eps_edge:
+    if np.max(np.abs(c - 1.0 / q)) <= eps and abs(density - E_u) < eps_edge:
         return "U"
     if E_m is not None:
-        base = _phase_vector(q, fp)
         for j in range(q):
-            m_j = np.roll(base, j)
-            if np.max(np.abs(c - m_j)) <= eps and abs(density - E_m) < eps_edge:
+            if np.max(np.abs(c - np.roll(vec, j))) <= eps and abs(density - E_m) < eps_edge:
                 return "M"
     return "T"
 
 
 def initial_state(g: RegularGraph, q: int, B: float, delta: int, start, rng) -> np.ndarray:
     """Starting coloring: 'disordered' draws iid uniform colors, ('ordered', i)
-    draws iid from the ordered phase vector, and an array is used as given."""
+    with 0 <= i < q draws iid from the ordered phase vector of color i (a bad
+    i raises before any draw), and an array is used as given."""
     if isinstance(start, str) and start == "disordered":
         return rng.integers(0, q, size=g.n)
     if isinstance(start, tuple) and start[0] == "ordered":
@@ -238,15 +228,10 @@ def run_chain(
     steps: int,
     start="disordered",
     seed: int = 0,
-    members=None,
 ) -> SWTrace:
     """Run Swendsen-Wang and record phase label, color frequencies and
     monochromatic edge density at t = 0..steps.  Deterministic per seed."""
     _check_activity(B)
-    if members is not None:
-        members = np.asarray(list(members), dtype=np.int64)
-        if not members.size:
-            raise ValueError("phase is undefined for an empty vertex set")
     rng = chain_rng(seed)
     colors = initial_state(g, q, B, g.delta, start, rng)
     u, v, loops = g.loop_split
@@ -256,7 +241,7 @@ def run_chain(
     for t in range(steps + 1):
         counts = np.bincount(colors, minlength=q)
         freqs[t] = counts / g.n
-        phases[t] = np.argmax(counts if members is None else np.bincount(colors[members], minlength=q))
+        phases[t] = np.argmax(counts)
         alike = (colors[u] == colors[v]).nonzero()[0]
         mono[t] = (alike.size + loops) / g.n
         if t < steps:
@@ -331,8 +316,9 @@ def conductance(g: RegularGraph, q: int, B: float, S, kernel=None, pi=None) -> f
     return flow / (pS * (1.0 - pS))
 
 
-def phase_cut(g: RegularGraph, q: int, color: int, members=None) -> np.ndarray:
-    """Indices of the configurations whose phase label equals `color`."""
+def phase_cut(g: RegularGraph, q: int, color: int) -> np.ndarray:
+    """Indices of the configurations whose phase label (dominant color, ties
+    to the lowest index, as in `phase_of`) equals `color`."""
     states = all_colorings(g.n, q)
-    keep = [s for s in range(len(states)) if phase_of(states[s], q, members) == color]
-    return np.array(keep, dtype=np.int64)
+    counts = np.count_nonzero(states[:, :, None] == np.arange(q), axis=1)
+    return np.nonzero(counts.argmax(axis=1) == color)[0]

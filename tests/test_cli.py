@@ -73,6 +73,33 @@ def test_moments_exact_n_column(capsys):
     assert abs(got - math.log(5.6) / 2) < 1e-12
 
 
+def test_moments_exact_n_needs_alpha(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", "3", "--exact-n", "2"]
+    assert run_command(argv + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --exact-n needs --alpha\n"
+    assert not out.exists()
+
+
+def test_moments_seed_reaches_the_fixpoint_search(tmp_path, monkeypatch):
+    from potts_lab import treefix
+
+    model = tmp_path / "model.json"
+    model.write_text('{"q": 3, "entries": [[3, 1, 0.5], [1, 2.5, 1], [0.5, 1, 3.5]]}')
+    seen = []
+    real = treefix.find_fixpoints
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(treefix, "find_fixpoints", recording)
+    base = ["moments", "--model", str(model), "--delta", "3", "--no-psi2", "--seed", "5"]
+    assert run_command(base + ["--csv", str(tmp_path / "a.csv")]) == 0
+    assert run_command(base + ["--alpha", "0.4,0.3,0.3", "--csv", str(tmp_path / "b.csv")]) == 0
+    assert seen == [5, 5]
+
+
 def test_norm_command(capsys):
     rc = run_command(["norm", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3"])
     assert rc == 0
@@ -132,6 +159,17 @@ def test_sw_commands_reject_activity_below_one(tmp_path, capsys, B):
     assert run_command(["sw", "exact", *base, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: Swendsen-Wang needs B >= 1, got {float(B)}"] * 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("color", ["9", "-1"])
+def test_sw_run_rejects_ordered_color_out_of_range(tmp_path, capsys, color):
+    g = tmp_path / "g.graph"
+    run_command(["graph", "sample", "--n", "40", "--delta", "3", "--seed", "7", "--out", str(g)])
+    out = tmp_path / "trace.csv"
+    argv = ["sw", "run", "--graph", str(g), "--q", "6", "--B", "5.7", "--steps", "5"]
+    assert run_command(argv + ["--start", f"ordered:{color}", "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ordered phase color must be in 0..5, got {color}\n"
     assert not out.exists()
 
 
