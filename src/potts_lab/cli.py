@@ -53,19 +53,15 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _json_artifact(payload: dict, args, keys) -> str:
+def _json_artifact(payload: dict, args) -> str:
     payload = dict(payload)
-    payload["config"] = _config_dict(args, keys)
+    payload["config"] = args.recorded
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_artifact(command: str, args, keys, header, rows, units: str) -> str:
+def _csv_artifact(command: str, args, header, rows, units: str) -> str:
     lines = [f"# potts-lab {command}"]
-    lines.append("# config: " + json.dumps(_config_dict(args, keys), sort_keys=True))
+    lines.append("# config: " + json.dumps(args.recorded, sort_keys=True))
     lines.append(f"# units: {units}")
     lines.append(",".join(header))
     for row in rows:
@@ -109,7 +105,7 @@ def _default_seed() -> int:
 def _cmd_thresholds(args) -> int:
     th = treefix.potts_thresholds(args.q, args.delta)
     payload = {"Bu": th.Bu, "Bo": th.Bo, "Brc": th.Brc}
-    _emit(_json_artifact(payload, args, ["q", "delta"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
@@ -129,7 +125,7 @@ def _cmd_fixpoints(args) -> int:
             for fp in fps
         ]
     }
-    _emit(_json_artifact(payload, args, ["q", "delta", "B"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
@@ -144,53 +140,37 @@ def _cmd_phase_diagram(args) -> int:
         "dominant": [ph.alpha.tolist() for ph in pd.dominant],
         "local_maxima": [ph.alpha.tolist() for ph in pd.local_maxima],
     }
-    _emit(_json_artifact(payload, args, ["q", "delta", "B"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
 def _cmd_moments(args) -> int:
     model = _model_from_args(args)
-    keys = ["model", "q", "B", "delta", "alpha", "exact_n", "seed"]
+    nan = float("nan")
     if args.exact_n is not None and args.alpha is None:
         raise ValueError("--exact-n needs --alpha")
+    # one (alpha, psi1, psi2, dominant) per row
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         if len(alpha) != model.q:
             raise ValueError(f"alpha must have length q = {model.q}")
         rep = moments.moment_report(model, args.delta, compute_psi2=False, seed=args.seed)
         p1 = moments.psi1(model, args.delta, alpha)
-        p2 = float("nan") if args.no_psi2 else moments.psi2(model, args.delta, alpha)
-        row = list(alpha) + [
-            p1,
-            p2,
-            rep.norm_value if rep.norm_value is not None else float("nan"),
-            int(p1 >= rep.psi1_max - 1e-9),
-        ]
-        rows = [row]
-        if args.exact_n:
-            exact = moments.first_moment_exact(args.exact_n, args.delta, model, alpha)
-            rows[0].append(np.log(exact) / args.exact_n if exact > 0 else float("-inf"))
-        header = [f"alpha_{i}" for i in range(model.q)] + ["psi1", "psi2", "norm", "dominant"]
-        if args.exact_n:
-            header.append(f"exact_log_mean_n{args.exact_n}")
+        p2 = nan if args.no_psi2 else moments.psi2(model, args.delta, alpha)
+        phases = [(alpha, p1, p2, p1 >= rep.psi1_max - 1e-9)]
     else:
-        rep = moments.moment_report(
-            model, args.delta, compute_psi2=not args.no_psi2, seed=args.seed
-        )
-        header = [f"alpha_{i}" for i in range(model.q)] + ["psi1", "psi2", "norm", "dominant"]
-        rows = []
-        for ph in rep.phases:
-            rows.append(
-                list(ph.alpha)
-                + [
-                    ph.psi1,
-                    rep.psi2_max if (ph.dominant and rep.psi2_max is not None) else float("nan"),
-                    rep.norm_value if rep.norm_value is not None else float("nan"),
-                    int(ph.dominant),
-                ]
-            )
+        rep = moments.moment_report(model, args.delta, compute_psi2=not args.no_psi2, seed=args.seed)
+        p2 = nan if rep.psi2_max is None else rep.psi2_max
+        phases = [(ph.alpha, ph.psi1, p2 if ph.dominant else nan, ph.dominant) for ph in rep.phases]
+    norm = nan if rep.norm_value is None else rep.norm_value
+    header = [f"alpha_{i}" for i in range(model.q)] + ["psi1", "psi2", "norm", "dominant"]
+    rows = [list(a) + [v1, v2, norm, int(dom)] for a, v1, v2, dom in phases]
+    if args.exact_n is not None:
+        exact = moments.first_moment_exact(args.exact_n, args.delta, model, alpha)
+        header.append(f"exact_log_mean_n{args.exact_n}")
+        rows[0].append(np.log(exact) / args.exact_n if exact > 0 else float("-inf"))
     text = _csv_artifact(
-        "moments", args, keys, header, rows, "psi1/psi2 in nats per vertex; alpha probabilities"
+        "moments", args, header, rows, "psi1/psi2 in nats per vertex; alpha probabilities"
     )
     _emit(text, args.csv)
     return 0
@@ -209,19 +189,18 @@ def _cmd_norm(args) -> int:
         "delta_ln_norm": args.delta * float(np.log(value)),
         "argmax": argmax.tolist(),
     }
-    _emit(_json_artifact(payload, args, ["model", "q", "B", "delta"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
 def _cmd_graph_sample(args) -> int:
     g = graphs.pairing_sample(args.n, args.delta, args.seed)
-    text = _graph_text(g, args, ["n", "delta", "seed"])
-    _emit(text, args.out)
+    _emit(_graph_text(g, args), args.out)
     return 0
 
 
-def _graph_text(g, args, keys) -> str:
-    config = json.dumps(_config_dict(args, keys), sort_keys=True)
+def _graph_text(g, args) -> str:
+    config = json.dumps(args.recorded, sort_keys=True)
     return f"# config: {config}\n" + graphs.graph_text(g)
 
 
@@ -243,13 +222,13 @@ def _cmd_graph_cycles(args) -> int:
     g = graphs.read_graph(args.graph)
     X = graphs.count_cycles(g, args.kmax)
     payload = {"cycles": X.tolist(), "kmax": args.kmax}
-    _emit(_json_artifact(payload, args, ["graph", "kmax"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
 def _cmd_gadget(args) -> int:
     g = graphs.build_gadget(args.delta, args.trees, args.depth, args.ncore, args.seed)
-    _emit(_graph_text(g, args, ["delta", "trees", "depth", "ncore", "seed"]), args.out)
+    _emit(_graph_text(g, args), args.out)
     return 0
 
 
@@ -260,7 +239,7 @@ def _cmd_reduce(args) -> int:
         for v in range(h.n)
     ]
     hg = graphs.build_reduction(h.edges.tolist(), gadget_list)
-    _emit(_graph_text(hg, args, ["h", "delta", "trees", "depth", "ncore", "seed"]), args.out)
+    _emit(_graph_text(hg, args), args.out)
     return 0
 
 
@@ -277,7 +256,6 @@ def _cmd_sw_run(args) -> int:
     trace = swsim.run_chain(
         g, args.q, args.B, args.steps, start=_parse_start(args.start), seed=args.seed
     )
-    keys = ["graph", "q", "B", "steps", "start", "seed"]
     header = ["t", "phase"] + [f"c_{i}" for i in range(args.q)] + ["mono_density"]
     rows = []
     for t in range(args.steps + 1):
@@ -285,7 +263,7 @@ def _cmd_sw_run(args) -> int:
             [t, int(trace.phase[t])] + list(trace.freqs[t]) + [float(trace.mono_density[t])]
         )
     text = _csv_artifact(
-        "sw run", args, keys, header, rows,
+        "sw run", args, header, rows,
         "phase is a color index; c_ are frequencies; mono_density is monochromatic edges per vertex",
     )
     _emit(text, args.csv)
@@ -310,7 +288,7 @@ def _cmd_sw_exact(args) -> int:
         S = swsim.phase_cut(g, args.q, int(value))
         payload["cut"] = args.cut
         payload["conductance"] = swsim.conductance(g, args.q, args.B, S, kernel=P, pi=pi)
-    _emit(_json_artifact(payload, args, ["graph", "q", "B", "cut"]), args.out)
+    _emit(_json_artifact(payload, args), args.out)
     return 0
 
 
@@ -326,8 +304,8 @@ def _cmd_sweep_dif(args) -> int:
         except Exception as exc:  # per-row failures recorded, sweep continues
             rows.append([float(B), float("nan"), "", str(exc)])
     text = _csv_artifact(
-        "sweep dif", args, ["q", "delta", "points"],
-        ["B", "dif", "regime", "error"], rows, "B activity (unitless); dif in nats per vertex",
+        "sweep dif", args, ["B", "dif", "regime", "error"], rows,
+        "B activity (unitless); dif in nats per vertex",
     )
     _emit(text, args.csv)
     return 1 if any(r[3] for r in rows) else 0
@@ -346,8 +324,7 @@ def _cmd_sweep_thresholds(args) -> int:
                 failed = True
                 rows.append([q, delta, float("nan"), float("nan"), float("nan"), "", str(exc)])
     text = _csv_artifact(
-        "sweep thresholds", args, ["q_min", "q_max", "delta_min", "delta_max"],
-        ["q", "delta", "Bu", "Bo", "Brc", "ordering", "error"], rows,
+        "sweep thresholds", args, ["q", "delta", "Bu", "Bo", "Brc", "ordering", "error"], rows,
         "activities unitless",
     )
     _emit(text, args.csv)
@@ -387,7 +364,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thresholds")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_thresholds)
 
@@ -395,7 +371,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--B", type=float, required=True)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fixpoints)
 
@@ -480,7 +455,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--points", type=int, default=50)
-    p.add_argument("--threads", type=int, help="accepted and ignored; the sweep runs serially")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sweep_dif)
 
@@ -493,7 +467,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep_thresholds)
 
     p = sub.add_parser("verify")
-    p.add_argument("--suite", default="primary", choices=["primary"])
     p.add_argument("--only", help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_verify)
 
@@ -510,7 +483,11 @@ def _leaf_parser(parser, args):
 
 def _parse_args(parser, argv):
     """Parse argv and apply --config before requiring the required options,
-    which the config may supply (it overrides the command line)."""
+    which the config may supply (it overrides the command line).
+
+    args.recorded is the config line of the artifact: every option of the
+    chosen subcommand except the output path, without unset values and
+    unset flags."""
     required = []
     for p in _parsers(parser):
         # freeze usage and help text while the options still read as required
@@ -519,12 +496,15 @@ def _parse_args(parser, argv):
     for action in required:
         action.required = False
     args = parser.parse_args(argv)
-    if args.config:
-        _apply_config(args, parser, args.config)
     leaf = _leaf_parser(parser, args)
+    if args.config:
+        _apply_config(args, leaf, args.config)
     missing = [a.option_strings[0] for a in leaf._actions if a in required and getattr(args, a.dest) is None]
     if missing:
         leaf.error("the following arguments are required: " + ", ".join(missing))
+    dests = [a.dest for a in leaf._actions if a.option_strings and a.dest not in ("help", "out", "csv")]
+    values = {dest: getattr(args, dest) for dest in dests}
+    args.recorded = {k: v for k, v in values.items() if v is not None and v is not False}
     return args
 
 
@@ -537,7 +517,7 @@ def _parsers(parser):
                 yield from _parsers(sub)
 
 
-def _apply_config(args, parser, path: str) -> None:
+def _apply_config(args, leaf, path: str) -> None:
     """Override options of the chosen subcommand from a JSON object.
 
     Keys name options of that subcommand (dashes or underscores).  Each value
@@ -548,7 +528,6 @@ def _apply_config(args, parser, path: str) -> None:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("--config must hold a JSON object")
-    leaf = _leaf_parser(parser, args)
     options = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
     for key, value in overrides.items():
         action = options.get(key.replace("-", "_"))
@@ -564,8 +543,6 @@ def _apply_config(args, parser, path: str) -> None:
                 value = (action.type or str)(str(value))
             except (TypeError, ValueError):
                 raise ValueError(f"--config: invalid value for {key!r}: {value!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"--config: {key!r} must be one of {list(action.choices)}")
         setattr(args, action.dest, value)
 
 

@@ -20,6 +20,7 @@ from .spinsys import InteractionMatrix, SizeGuardError
 
 BRUTE_GIBBS_GUARD = 2_000_000
 ENUMERATE_POINTS_GUARD = 16
+GADGET_DEPTH_EXPONENT = 1 / 16  # psi: tree depth psi * log_(delta-1) n
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +178,6 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
 class GibbsOracle:
     """Exact partition function with the phase-restricted table z_by_phase."""
 
-    graph: RegularGraph
-    q: int
-    matrix: np.ndarray
     Z: float
     weights: np.ndarray  # per configuration, indexed by sum_v color_v q^v
     z_by_phase: dict
@@ -222,14 +220,7 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
         key = tuple(counts[idx])
         z_by_phase[key] = z_by_phase.get(key, 0.0) + weights[idx]
 
-    return GibbsOracle(
-        graph=g,
-        q=q,
-        matrix=model.entries,
-        Z=float(weights.sum()),
-        weights=weights,
-        z_by_phase=z_by_phase,
-    )
+    return GibbsOracle(Z=float(weights.sum()), weights=weights, z_by_phase=z_by_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +291,15 @@ def build_gadget(
     return make_graph(next_vertex, delta, edges, roles)
 
 
-def gadget_parameters_for(n: int, delta: int, theta: float = 1 / 16, psi: float = 1 / 16):
+def gadget_parameters_for(n: int, delta: int, theta: float = 1 / 16):
     """Desk-scale gadget sizing from the asymptotic exponents: n^theta trees
-    of depth psi*log_(delta-1) n on a size-n core.  Returns
-    (trees_per_side, tree_depth, n_core)."""
-    if not (0 < theta < 1 / 8 and 0 < psi < 1 / 8):
+    of depth psi*log_(delta-1) n on a size-n core, psi = GADGET_DEPTH_EXPONENT.
+    Returns (trees_per_side, tree_depth, n_core)."""
+    if not 0 < theta < 1 / 8:
         raise ValueError("exponents must lie in (0, 1/8)")
     base = delta - 1
     trees = base ** int(math.floor(theta * math.log(n, base)))
-    depth = int(math.floor(psi * math.log(n, base)))
+    depth = int(math.floor(GADGET_DEPTH_EXPONENT * math.log(n, base)))
     return max(1, trees), max(1, depth), n
 
 
@@ -405,7 +396,9 @@ def write_graph(g: RegularGraph, path) -> None:
         fh.write(graph_text(g))
 
 
-def read_graph(path, strict: bool = False) -> RegularGraph:
+def read_graph(path) -> RegularGraph:
+    """Parse the graph_text format; degrees are not checked (multigraphs,
+    gadgets and reductions all load)."""
     roles = {}
     edges = []
     header = None
@@ -427,4 +420,4 @@ def read_graph(path, strict: bool = False) -> RegularGraph:
             edges.append((int(u), int(v)))
     if header is None:
         raise ValueError("empty graph file")
-    return make_graph(header[0], header[1], edges, roles, strict=strict)
+    return make_graph(header[0], header[1], edges, roles, strict=False)

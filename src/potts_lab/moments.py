@@ -34,7 +34,18 @@ from . import treefix
 from .treefix import Fixpoint, potts_thresholds
 
 IPF_TOL = 1e-13
+IPF_MAX_ITER = 200000
+SINKHORN_TOL = 1e-12
 SINKHORN_MAX_SWEEPS = 100000
+NORM_RANDOM_STARTS = 40
+NORM_SEED = 7  # Philox key of the norm ascent's random starts
+PSI2_SEED = 11  # Philox key of psi2's random overlap starts
+PSI2_MAX_STEPS = 400  # accepted steps per psi2 ascent
+FIRST_MOMENT_GUARD = 5e6  # edge-lattice recursion nodes
+SECOND_MOMENT_GUARD = 1e6  # per overlap matrix
+SIMPLEX_STEP = 0.02
+SIMPLEX_MAX_POINTS = 200000
+SMALL_GRAPH_KMAX = 60
 LN2 = math.log(2.0)
 
 
@@ -88,18 +99,18 @@ def _logsumexp(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ipf_scale(B: np.ndarray, alpha: np.ndarray, lam0=None, tol=IPF_TOL, max_iter=200000):
+def _ipf_scale(B: np.ndarray, alpha: np.ndarray, lam0=None):
     """Scaling vector lam with row sums of B_ij lam_i lam_j equal to alpha.
 
-    Returns (lam, residual); residual above tol signals an infeasible
+    Returns (lam, residual); residual above IPF_TOL signals an infeasible
     marginal/support combination (the iteration stagnates).
     """
     lam = np.sqrt(alpha) if lam0 is None else lam0.copy()
     best = np.inf
-    for it in range(max_iter):
+    for it in range(IPF_MAX_ITER):
         r = lam * (B @ lam)
         res = float(np.max(np.abs(r - alpha)))
-        if res < tol:
+        if res < IPF_TOL:
             return lam, res
         if it % 1000 == 999:
             # stagnation check: feasible instances contract geometrically
@@ -142,7 +153,7 @@ def _psi1_of_g1(delta: int, alpha: np.ndarray, g1: float) -> float:
     return (delta - 1) * float(np.sum(a * np.log(a))) + delta * g1
 
 
-def inner_edge_max(model: InteractionMatrix, alpha, lam0=None):
+def inner_edge_max(model: InteractionMatrix, alpha):
     """Maximize g1(x) = 1/2 sum x ln B - 1/2 sum x ln x over symmetric x with
     row sums alpha.  Returns (EdgeDistribution, g1), or (None, -inf) when the
     marginals are unreachable on the support of B.
@@ -150,8 +161,7 @@ def inner_edge_max(model: InteractionMatrix, alpha, lam0=None):
     Colors with alpha_i = 0 are dropped before scaling (0 ln 0 = 0), and
     entries with B_ij = 0 are exactly zero in the maximizer.
     """
-    B = model.entries if isinstance(model, InteractionMatrix) else np.asarray(model, float)
-    sol = _scaling_max(B, np.asarray(alpha, dtype=float), lam0)
+    sol = _scaling_max(model.entries, np.asarray(alpha, dtype=float))
     if sol is None:
         return None, -np.inf
     x, g1, _ = sol
@@ -168,7 +178,7 @@ def psi1(model: InteractionMatrix, delta: int, alpha) -> float:
 def phi1(model: InteractionMatrix, delta: int, R) -> float:
     """Free-energy functional on ratio vectors; agrees with psi1 at fixpoints."""
     R = np.asarray(R, dtype=float)
-    B = model.entries if isinstance(model, InteractionMatrix) else np.asarray(model, float)
+    B = model.entries
     p = delta / (delta - 1.0)
     return 0.5 * delta * math.log(float(R @ B @ R)) - (delta - 1) * math.log(
         float(np.sum(R**p))
@@ -180,13 +190,14 @@ def phi1(model: InteractionMatrix, delta: int, R) -> float:
 # ---------------------------------------------------------------------------
 
 
-def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, seed: int = 7):
+def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None):
     """Maximize ||Bhat R||_2 / ||R||_p over R >= 0 for p in (1, 2].
 
     Critical points of the ratio are exactly the tree-recursion fixpoints of
     B = Bhat^T Bhat at degree delta = p/(p-1) + 1, so the ascent iterates the
     damped recursion from the uniform vector, the coordinate vectors, the
-    supplied seeds and random starts, all stepped together as one batch.
+    supplied seeds and NORM_RANDOM_STARTS random starts, all stepped together
+    as one batch.
     Returns (norm value, maximizer).
     """
     Bhat = np.asarray(Bhat, dtype=float)
@@ -195,13 +206,13 @@ def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, s
     d = round(1.0 / (p - 1.0))
     B = np.maximum(Bhat.T @ Bhat, 0.0)
     q = B.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=NORM_SEED))
 
     starts = [np.full(q, 1.0 / q)]
     starts.extend(np.eye(q))
     if seeds is not None:
         starts.extend(np.asarray(s, dtype=float) for s in seeds)
-    starts = np.vstack([starts, rng.dirichlet(np.ones(q), size=n_starts)])
+    starts = np.vstack([starts, rng.dirichlet(np.ones(q), size=NORM_RANDOM_STARTS)])
     ends = treefix._damped_iterate(B, d, starts)
     starts = starts / starts.sum(axis=1, keepdims=True)
 
@@ -219,11 +230,12 @@ def matrix_norm_p2(Bhat: np.ndarray, p: float, seeds=None, n_starts: int = 40, s
 # ---------------------------------------------------------------------------
 
 
-def _sinkhorn_project(G: np.ndarray, row: np.ndarray, col: np.ndarray, tol=1e-12):
+def _sinkhorn_project(G: np.ndarray, row: np.ndarray, col: np.ndarray):
     """Scale a positive matrix to the given row/column marginals.
 
-    Raises RuntimeError when the marginals are not reached within tol, as on
-    a support that cannot carry them (the scalings then diverge).
+    Raises RuntimeError when the marginals are not reached within
+    SINKHORN_TOL, as on a support that cannot carry them (the scalings then
+    diverge).
     """
     u = np.ones(len(row))
     v = np.ones(len(col))
@@ -232,7 +244,7 @@ def _sinkhorn_project(G: np.ndarray, row: np.ndarray, col: np.ndarray, tol=1e-12
         v = col / (G.T @ u)
         P = G * np.outer(u, v)
         err = max(np.max(np.abs(P.sum(axis=1) - row)), np.max(np.abs(P.sum(axis=0) - col)))
-        if err < tol:
+        if err < SINKHORN_TOL:
             return P
         if not np.isfinite(err):
             break
@@ -245,7 +257,7 @@ def _paired_model(model: InteractionMatrix) -> np.ndarray:
     return np.kron(model.entries, model.entries)
 
 
-def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50, seed: int = 11) -> float:
+def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50) -> float:
     """Second-moment exponent at phase alpha: the paired-spin first moment
     maximized over overlap matrices gamma with both marginals alpha.
 
@@ -257,7 +269,7 @@ def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50, seed: 
     alpha = np.asarray(alpha, dtype=float)
     q = model.q
     K = _paired_model(model)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=PSI2_SEED))
 
     starts = [np.outer(alpha, alpha), np.diag(alpha)]
     pos = alpha > 0
@@ -270,7 +282,7 @@ def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50, seed: 
     return max(_ascend_gamma(K, delta, alpha, gamma0) for gamma0 in starts)
 
 
-def _ascend_gamma(K, delta, alpha, gamma0, max_iter=400):
+def _ascend_gamma(K, delta, alpha, gamma0):
     gamma = np.maximum(gamma0, 0.0)
     q = gamma.shape[0]
     pos = alpha > 0
@@ -280,7 +292,7 @@ def _ascend_gamma(K, delta, alpha, gamma0, max_iter=400):
         return -np.inf
     val, lam = _psi1_of_g1(delta, gamma.reshape(-1), sol[1]), sol[2]
     eta = 0.1
-    for _ in range(max_iter):
+    for _ in range(PSI2_MAX_STEPS):
         gflat = gamma.reshape(-1)
         active = gflat > 0
         grad = np.zeros(q * q)
@@ -319,6 +331,8 @@ def _log_pairings(m: int) -> float:
 
 
 def _integer_counts(alpha, n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("exact moments need n >= 1 vertices")
     counts = np.asarray(alpha, dtype=float) * n
     rounded = np.round(counts)
     if np.max(np.abs(counts - rounded)) > 1e-9:
@@ -347,7 +361,7 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
         nodes *= min(D[i], D[j]) + 1
     if nodes > max_terms:
         raise SizeGuardError(
-            f"edge lattice recursion bound {nodes:.3g} exceeds the configured limit {max_terms:.3g}"
+            f"edge lattice recursion bound {nodes:.3g} exceeds the guard {max_terms:.3g}"
         )
     total = int(D.sum())
     logfact = np.zeros(total + 1)
@@ -435,13 +449,11 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
     return _logsumexp(chunks)
 
 
-def first_moment_exact(
-    n: int, delta: int, model: InteractionMatrix, alpha, max_terms: float = 5e6
-) -> float:
+def first_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[Z^alpha] over the pairing model, exactly (log-domain internally)."""
+    counts = _integer_counts(alpha, n)
     if (n * delta) % 2 != 0:
         raise ValueError("delta * n must be even")
-    counts = _integer_counts(alpha, n)
     B = model.entries
     with np.errstate(divide="ignore"):
         logB = np.log(B)
@@ -449,7 +461,7 @@ def first_moment_exact(
     log_multinomial = math.lgamma(n + 1) - float(
         np.sum([math.lgamma(c + 1) for c in counts])
     )
-    inner = _edge_lattice_logsum(D, logB, max_terms)
+    inner = _edge_lattice_logsum(D, logB, FIRST_MOMENT_GUARD)
     if inner == -np.inf:
         return 0.0
     return math.exp(log_multinomial + inner - _log_pairings(n * delta))
@@ -482,14 +494,12 @@ def _overlap_matrices(counts: np.ndarray):
         yield np.array(mat)
 
 
-def second_moment_exact(
-    n: int, delta: int, model: InteractionMatrix, alpha, max_terms: float = 1e6
-) -> float:
+def second_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[(Z^alpha)^2] over the pairing model: an exact paired-spin first
     moment summed over integer overlap matrices.  Tiny instances only."""
+    counts = _integer_counts(alpha, n)
     if (n * delta) % 2 != 0:
         raise ValueError("delta * n must be even")
-    counts = _integer_counts(alpha, n)
     K = _paired_model(model)
     with np.errstate(divide="ignore"):
         logK = np.log(K)
@@ -500,7 +510,7 @@ def second_moment_exact(
         log_multinomial = math.lgamma(n + 1) - float(
             np.sum([math.lgamma(g + 1) for g in gflat])
         )
-        inner = _edge_lattice_logsum(delta * gflat, logK, max_terms)
+        inner = _edge_lattice_logsum(delta * gflat, logK, SECOND_MOMENT_GUARD)
         if inner > -np.inf:
             terms.append(log_multinomial + inner - total_pairings)
     out = _logsumexp(terms)
@@ -615,9 +625,7 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
 # ---------------------------------------------------------------------------
 
 
-def small_graph_constants(
-    model: InteractionMatrix, delta: int, fp: Fixpoint, kmax: int = 60
-) -> SmallGraphConstants:
+def small_graph_constants(model: InteractionMatrix, delta: int, fp: Fixpoint) -> SmallGraphConstants:
     """Cycle-count constants for the variance analysis at an attractive fixpoint.
 
     mu are the non-unit eigenvalues of the fixpoint matrix M, lam_i is the
@@ -629,7 +637,7 @@ def small_graph_constants(
     mu = rep.restricted_spectrum
     if np.max(np.abs(mu)) >= 1.0 / (delta - 1) - 1e-12:
         raise ValueError("small-graph constants need a Hessian-dominant fixpoint")
-    i = np.arange(1, kmax + 1)
+    i = np.arange(1, SMALL_GRAPH_KMAX + 1)
     lam = (delta - 1.0) ** i / (2.0 * i)
     delta_series = np.array([np.sum(mu**k) for k in i])
     ratio = float(np.prod((1.0 - (delta - 1.0) * np.outer(mu, mu)) ** -0.5))
@@ -654,10 +662,11 @@ def _as_potts(model: InteractionMatrix):
     return None
 
 
-def simplex_grid(q: int, step: float = 0.02, max_points: int = 200000) -> np.ndarray:
-    """Lattice covering of the simplex, coarsened to stay under max_points."""
-    m = max(1, round(1.0 / step))
-    while math.comb(m + q - 1, q - 1) > max_points:
+def simplex_grid(q: int) -> np.ndarray:
+    """Lattice covering of the simplex with spacing SIMPLEX_STEP, coarsened to
+    stay under SIMPLEX_MAX_POINTS."""
+    m = max(1, round(1.0 / SIMPLEX_STEP))
+    while math.comb(m + q - 1, q - 1) > SIMPLEX_MAX_POINTS:
         m -= 1
     points = []
 
@@ -685,7 +694,6 @@ def moment_report(
     model: InteractionMatrix,
     delta: int,
     compute_psi2: bool = True,
-    kmax: int = 60,
     seed: int = 0,
 ) -> MomentReport:
     """Phases from the tree fixpoints with their psi1 values, the first/second
@@ -729,7 +737,7 @@ def moment_report(
     small = None
     for ph, fp in phases:
         if ph.dominant and fp.stability == treefix.ATTRACTIVE:
-            small = small_graph_constants(model, delta, fp, kmax=kmax)
+            small = small_graph_constants(model, delta, fp)
             break
 
     return MomentReport(

@@ -130,9 +130,7 @@ def build_potts_matrix(q: int, B: float) -> InteractionMatrix:
 
 
 def classify_signature(model: InteractionMatrix) -> Signature:
-    """Signature of an ergodic model; rejects non-symmetric or non-ergodic input."""
-    if isinstance(model, np.ndarray):
-        model = interaction_matrix(model)
+    """Signature of an ergodic model; rejects non-ergodic input."""
     if not model.ergodic:
         raise ValueError(
             "interaction matrix is not ergodic (reducible or 2-periodic support); "

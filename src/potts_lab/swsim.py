@@ -44,8 +44,6 @@ class SWTrace:
     phase: np.ndarray  # dominant color per recorded step
     freqs: np.ndarray  # color frequency vectors, one row per step
     mono_density: np.ndarray  # monochromatic edges / n
-    seed: int
-    params: dict
 
 
 @dataclass(frozen=True)
@@ -206,19 +204,16 @@ def classify_UMT(
     return "T"
 
 
-def initial_state(g: RegularGraph, q: int, B: float, delta: int, start, rng) -> np.ndarray:
-    """Starting coloring: 'disordered' draws iid uniform colors, ('ordered', i)
-    with 0 <= i < q draws iid from the ordered phase vector of color i (a bad
-    i raises before any draw), and an array is used as given."""
+def initial_state(g: RegularGraph, q: int, B: float, start, rng) -> np.ndarray:
+    """Starting coloring: 'disordered' draws iid uniform colors and
+    ('ordered', i) with 0 <= i < q draws iid from the ordered phase vector of
+    color i on degree g.delta.  Any other start raises before any draw."""
     if isinstance(start, str) and start == "disordered":
         return rng.integers(0, q, size=g.n)
-    if isinstance(start, tuple) and start[0] == "ordered":
-        vec = ordered_phase_vector(q, delta, B, color=start[1])
+    if isinstance(start, tuple) and len(start) == 2 and start[0] == "ordered":
+        vec = ordered_phase_vector(q, g.delta, B, color=start[1])
         return rng.choice(q, size=g.n, p=vec)
-    colors = np.asarray(start, dtype=np.int64)
-    if colors.shape != (g.n,):
-        raise ValueError("explicit start must assign one color per vertex")
-    return colors
+    raise ValueError(f"start must be 'disordered' or ('ordered', color), got {start!r}")
 
 
 def run_chain(
@@ -233,7 +228,7 @@ def run_chain(
     monochromatic edge density at t = 0..steps.  Deterministic per seed."""
     _check_activity(B)
     rng = chain_rng(seed)
-    colors = initial_state(g, q, B, g.delta, start, rng)
+    colors = initial_state(g, q, B, start, rng)
     u, v, loops = g.loop_split
     phases = np.zeros(steps + 1, dtype=np.int64)
     freqs = np.zeros((steps + 1, q))
@@ -246,13 +241,7 @@ def run_chain(
         mono[t] = (alike.size + loops) / g.n
         if t < steps:
             colors = _step_arrays(alike, u, v, g.n, q, B, rng)
-    return SWTrace(
-        phase=phases,
-        freqs=freqs,
-        mono_density=mono,
-        seed=seed,
-        params={"q": q, "B": B, "steps": steps, "start": str(start), "n": g.n},
-    )
+    return SWTrace(phase=phases, freqs=freqs, mono_density=mono)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .spinsys import InteractionMatrix, Signature, build_potts_matrix
 FIXPOINT_RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 BISECT_TOL = 1e-13
+GOLDEN_TOL = 1e-12
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
 
@@ -173,7 +174,7 @@ def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None)
     )
 
 
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -182,7 +183,7 @@ def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
         return hi
     if flo * fhi > 0:
         raise ValueError("bisection bracket does not straddle a root")
-    while hi - lo > tol * max(1.0, abs(lo)):
+    while hi - lo > BISECT_TOL * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -194,13 +195,13 @@ def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a)):
+    while b - a > GOLDEN_TOL * max(1.0, abs(a)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

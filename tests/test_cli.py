@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,7 +15,7 @@ def run_to_file(tmp_path, name, argv):
 
 
 def test_thresholds_json(tmp_path, capsys):
-    rc = run_command(["thresholds", "--q", "3", "--delta", "3", "--json"])
+    rc = run_command(["thresholds", "--q", "3", "--delta", "3"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["Bu"] - (1 + 2 * math.sqrt(2))) < 1e-9
@@ -24,7 +25,7 @@ def test_thresholds_json(tmp_path, capsys):
 
 
 def test_fixpoints_json(capsys):
-    rc = run_command(["fixpoints", "--q", "3", "--delta", "3", "--B", "3.9", "--json"])
+    rc = run_command(["fixpoints", "--q", "3", "--delta", "3", "--B", "3.9"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     stabilities = sorted(fp["stability"] for fp in payload["fixpoints"])
@@ -79,6 +80,23 @@ def test_moments_exact_n_needs_alpha(tmp_path, capsys):
     assert run_command(argv + ["--csv", str(out)]) == 1
     assert capsys.readouterr().err == "error: --exact-n needs --alpha\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_moments_exact_n_must_be_positive(tmp_path, capsys, n):
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", "3", "--alpha", "0.5,0.5"]
+    assert run_command(argv + ["--no-psi2", "--exact-n", n, "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: exact moments need n >= 1 vertices\n"
+    assert not out.exists()
+
+
+def test_moments_no_psi2_is_recorded(capsys):
+    argv = ["moments", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3"]
+    assert run_command(argv + ["--no-psi2"]) == 0
+    assert _config_of(capsys.readouterr().out)["no_psi2"] is True
+    assert run_command(argv + ["--alpha", "0.2,0.3,0.5"]) == 0
+    assert "no_psi2" not in _config_of(capsys.readouterr().out)
 
 
 def test_moments_seed_reaches_the_fixpoint_search(tmp_path, monkeypatch):
@@ -203,8 +221,7 @@ def test_gadget_and_reduce_are_top_level_commands_only(capsys):
 def test_sweep_dif_crosses_zero_at_bo(tmp_path):
     out = tmp_path / "dif.csv"
     rc = run_command(
-        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "20", "--threads", "1",
-         "--csv", str(out)]
+        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "20", "--csv", str(out)]
     )
     assert rc == 0
     rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")]
@@ -236,8 +253,7 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
     monkeypatch.setattr("potts_lab.cli.moments.potts_phase_diagram", flaky)
     out = tmp_path / "dif.csv"
     rc = run_command(
-        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "4", "--threads", "1",
-         "--csv", str(out)]
+        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "4", "--csv", str(out)]
     )
     assert rc == 1
     rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")]
@@ -250,23 +266,11 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
 def test_sweep_dif_empty_grid(tmp_path):
     out = tmp_path / "empty.csv"
     rc = run_command(
-        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "0", "--threads", "1",
-         "--csv", str(out)]
+        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "0", "--csv", str(out)]
     )
     assert rc == 0
     rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert rows == ["B,dif,regime,error"]
-
-
-def test_sweep_dif_ignores_threads(tmp_path):
-    texts = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"dif{threads}.csv"
-        argv = ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "3", "--threads", threads]
-        assert run_command(argv + ["--csv", str(out)]) == 0
-        texts.append(out.read_text())
-    assert texts[0] == texts[1]
-    assert "threads" not in texts[0]
 
 
 def test_sweep_thresholds_table(tmp_path):
@@ -318,8 +322,10 @@ def test_config_values_go_through_the_option_type(tmp_path, capsys):
     assert _config_run(tmp_path, {"q": "three"}, argv) == 1
     assert capsys.readouterr().err.startswith("error: --config: invalid value for 'q'")
     assert _config_run(tmp_path, {"q": 3.5}, argv) == 1
-    assert _config_run(tmp_path, {"json": "yes"}, argv) == 1
     capsys.readouterr()
+    enumerate_argv = ["graph", "enumerate", "--n", "2", "--delta", "3"]
+    assert _config_run(tmp_path, {"count_only": "yes"}, enumerate_argv) == 1
+    assert capsys.readouterr().err.startswith("error: --config: 'count_only' takes true or false")
     # a JSON string holding an integer is coerced like a command-line value
     assert _config_run(tmp_path, {"q": "4"}, argv) == 0
     assert json.loads(capsys.readouterr().out)["config"]["q"] == 4
@@ -371,8 +377,74 @@ def test_graph_artifact_is_config_line_plus_graph_file(tmp_path):
 
 
 def test_verify_only_fast_criteria(capsys):
-    rc = run_command(["verify", "--suite", "primary", "--only", "1,9"])
+    rc = run_command(["verify", "--only", "1,9"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS criterion 1" in out
     assert "PASS criterion 9" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["thresholds", "--q", "3", "--delta", "3", "--json"], "--json"),
+        (["fixpoints", "--q", "3", "--delta", "3", "--B", "3.9", "--json"], "--json"),
+        (["sweep", "dif", "--q", "3", "--delta", "3", "--points", "2", "--threads", "1"], "--threads"),
+        (["verify", "--suite", "primary", "--only", "1"], "--suite"),
+    ],
+    ids=["thresholds", "fixpoints", "sweep-dif", "verify"],
+)
+def test_removed_flags_are_usage_errors(capsys, argv, flag):
+    assert run_command(argv) == 1
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+def _config_of(text: str) -> dict:
+    """The config an artifact records: a JSON payload's "config", or the
+    '# config: ' line of a CSV or graph file."""
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    line = next(l for l in text.splitlines() if l.startswith("# config: "))
+    return json.loads(line.removeprefix("# config: "))
+
+
+def test_config_records_every_given_option_but_the_output_path(tmp_path):
+    from potts_lab.cli import _parsers, build_parser
+
+    g = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(g)]) == 0
+    tri = tmp_path / "tri.graph"
+    tri.write_text("3 2\n0 1\n1 2\n0 2\n")
+    commands = [
+        ["thresholds", "--q", "3", "--delta", "3"],
+        ["fixpoints", "--q", "3", "--delta", "3", "--B", "3.9"],
+        ["phase-diagram", "--q", "3", "--delta", "3", "--B", "3.9"],
+        ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", "3", "--alpha", "0.5,0.5",
+         "--exact-n", "2", "--no-psi2", "--seed", "4"],
+        ["norm", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3"],
+        ["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5"],
+        ["graph", "cycles", "--graph", str(g), "--kmax", "3"],
+        ["gadget", "--delta", "3", "--trees", "2", "--depth", "2", "--ncore", "16", "--seed", "3"],
+        ["reduce", "--h", str(tri), "--delta", "3", "--trees", "2", "--depth", "1", "--ncore", "4", "--seed", "3"],
+        ["sw", "run", "--graph", str(g), "--q", "3", "--B", "2", "--steps", "3", "--start", "disordered", "--seed", "4"],
+        ["sw", "exact", "--graph", str(tri), "--q", "2", "--B", "2", "--cut", "phase:0"],
+        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "2"],
+        ["sweep", "thresholds", "--q-min", "3", "--q-max", "4", "--delta-min", "3", "--delta-max", "4"],
+    ]
+    # every subcommand with an output path, except graph enumerate, which
+    # writes no config line
+    writers = {
+        p.prog.removeprefix("potts-lab "): {a.dest for a in p._actions}
+        for p in _parsers(build_parser())
+        if {"out", "csv"} & {a.dest for a in p._actions}
+    }
+    assert {" ".join(itertools.takewhile(lambda w: w[0] != "-", argv)) for argv in commands} == (
+        set(writers) - {"graph enumerate"}
+    )
+    out = tmp_path / "artifact"
+    for argv in commands:
+        name = " ".join(itertools.takewhile(lambda w: w[0] != "-", argv))
+        out_flag = "--csv" if "csv" in writers[name] else "--out"
+        assert run_command(argv + [out_flag, str(out)]) == 0, argv
+        given = {w[2:].replace("-", "_") for w in argv if w.startswith("--")}
+        assert set(_config_of(out.read_text())) == given, argv

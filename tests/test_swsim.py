@@ -178,10 +178,19 @@ def test_ordered_start_color_out_of_range_is_rejected_before_drawing(color):
     g = pairing_sample(40, 3, seed=7)
     rng = chain_rng(1)
     with pytest.raises(ValueError, match="color must be in 0..5"):
-        initial_state(g, 6, Bo, 3, ("ordered", color), rng)
+        initial_state(g, 6, Bo, ("ordered", color), rng)
     assert rng.random() == chain_rng(1).random()
     with pytest.raises(ValueError, match="color must be in 0..5"):
         run_chain(g, 6, Bo, steps=3, start=("ordered", color))
+
+
+@pytest.mark.parametrize("start", ["ordered", ("ordered",), ("disordered", 0), [0, 1, 2, 0]])
+def test_other_starts_are_rejected_before_drawing(start):
+    g = pairing_sample(4, 3, seed=3)
+    rng = chain_rng(1)
+    with pytest.raises(ValueError, match="start must be 'disordered' or"):
+        initial_state(g, 3, 2.0, start, rng)
+    assert rng.random() == chain_rng(1).random()
 
 
 def test_classify_umt_uniform_at_B1():
@@ -273,7 +282,7 @@ def test_run_chain_matches_sw_step_chain():
     g = pairing_sample(40, 3, seed=6)
     tr = run_chain(g, 3, 2.5, steps=30, start="disordered", seed=11)
     rng = chain_rng(11)
-    colors = initial_state(g, 3, 2.5, g.delta, "disordered", rng)
+    colors = initial_state(g, 3, 2.5, "disordered", rng)
     state = SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
     for t in range(31):
         assert tr.phase[t] == phase_of(state.colors, 3)
