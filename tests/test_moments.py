@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,22 @@ def test_sinkhorn_raises_when_the_support_cannot_carry_the_marginals():
         _sinkhorn_project(G, np.array([0.3, 0.7]), np.array([0.7, 0.3]))
     P = _sinkhorn_project(G, np.array([0.7, 0.3]), np.array([0.3, 0.7]))
     assert np.allclose(P, [[0.3, 0.4], [0.0, 0.3]], atol=1e-12)
+
+
+def test_criterion_4_cells_match_pinned_values(criterion_4_run):
+    # checked on criterion 4's own moment reports (see conftest.py);
+    # recorded with one norm ascent per start; stepping the starts as one
+    # array may move the norm in its last bits, psi1 and psi2 not at all
+    reports = criterion_4_run[1]
+    cells = json.loads((Path(__file__).parent / "pinned_moment_cells.json").read_text())
+    assert len(cells) == len(reports) == 24
+    for (model, delta, rep), cell in zip(reports, cells):
+        assert delta == cell["delta"]
+        assert np.array_equal(model.entries, build_potts_matrix(cell["q"], cell["B"]).entries)
+        assert [ph.psi1 for ph in rep.phases] == cell["phase_psi1"]
+        assert rep.psi1_max == cell["psi1_max"]
+        assert rep.psi2_max == cell["psi2_max"]
+        assert abs(rep.norm_value - cell["norm_value"]) <= 1e-14 * cell["norm_value"]
 
 
 def _loop_orbit(alpha):
