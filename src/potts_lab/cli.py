@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import acceptance, graphs, moments, swsim, treefix
-from .spinsys import SizeGuardError, build_potts_matrix, load_model
+from .spinsys import SizeGuardError, _check_simplex, build_potts_matrix, cholesky_factor, load_model
 
 
 class _UsageError(ValueError):
@@ -83,10 +83,6 @@ def _model_from_args(args):
             raise ValueError("--model potts requires --q and --B")
         return build_potts_matrix(args.q, args.B)
     return load_model(args.model)
-
-
-def _parse_alpha(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
 
 
 def _default_seed() -> int:
@@ -151,9 +147,10 @@ def _cmd_moments(args) -> int:
         raise ValueError("--exact-n needs --alpha")
     # one (alpha, psi1, psi2, dominant) per row
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
-        if len(alpha) != model.q:
-            raise ValueError(f"alpha must have length q = {model.q}")
+        # bad inputs fail here, before any psi work
+        alpha = _check_simplex([float(x) for x in args.alpha.split(",")], model.q)
+        if args.exact_n is not None:
+            exact = moments.first_moment_exact(args.exact_n, args.delta, model, alpha)
         rep = moments.moment_report(model, args.delta, compute_psi2=False, seed=args.seed)
         p1 = moments.psi1(model, args.delta, alpha)
         p2 = nan if args.no_psi2 else moments.psi2(model, args.delta, alpha)
@@ -166,7 +163,6 @@ def _cmd_moments(args) -> int:
     header = [f"alpha_{i}" for i in range(model.q)] + ["psi1", "psi2", "norm", "dominant"]
     rows = [list(a) + [v1, v2, norm, int(dom)] for a, v1, v2, dom in phases]
     if args.exact_n is not None:
-        exact = moments.first_moment_exact(args.exact_n, args.delta, model, alpha)
         header.append(f"exact_log_mean_n{args.exact_n}")
         rows[0].append(np.log(exact) / args.exact_n if exact > 0 else float("-inf"))
     text = _csv_artifact(
@@ -177,10 +173,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    model = _model_from_args(args)
-    from .spinsys import cholesky_factor
-
-    Bhat = cholesky_factor(model)
+    Bhat = cholesky_factor(_model_from_args(args))
     p = args.delta / (args.delta - 1.0)
     value, argmax = moments.matrix_norm_p2(Bhat, p)
     payload = {
@@ -342,134 +335,78 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(p):
-    p.add_argument("--model", required=True, help="model JSON path, or 'potts' with --q/--B")
-    p.add_argument("--q", type=int)
-    p.add_argument("--B", type=float)
-    p.add_argument("--delta", type=int, required=True)
+# every option once, by its argparse keywords
+_OPTIONS = {
+    "--model": dict(required=True, help="model JSON path, or 'potts' with --q/--B"),
+    "--q": dict(type=int, required=True),
+    "--B": dict(type=float, required=True),
+    "--delta": dict(type=int, required=True),
+    "--alpha": dict(help="comma-separated phase vector"),
+    "--exact-n": dict(type=int),
+    "--no-psi2": dict(action="store_true"),
+    "--n": dict(type=int, required=True),
+    "--count-only": dict(action="store_true"),
+    "--graph": dict(required=True),
+    "--kmax": dict(type=int, default=4),
+    "--h": dict(required=True, help="graph file for H"),
+    "--trees": dict(type=int, required=True),
+    "--depth": dict(type=int, required=True),
+    "--ncore": dict(type=int, required=True),
+    "--steps": dict(type=int, required=True),
+    "--start": dict(default="disordered"),
+    "--cut": dict(help="phase:<color>"),
+    "--points": dict(type=int, default=50),
+    "--q-min": dict(type=int, default=3),
+    "--q-max": dict(type=int, default=8),
+    "--delta-min": dict(type=int, default=3),
+    "--delta-max": dict(type=int, default=8),
+    "--only": dict(help="comma-separated criterion numbers"),
+    "--seed": dict(type=int),  # default from POTTSLAB_SEED, read in build_parser
+    "--out": {},
+    "--csv": {},
+}
 
-
-def _add_gadget_flags(p):
-    for name in ("--delta", "--trees", "--depth", "--ncore"):
-        p.add_argument(name, type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out")
+# (subcommand, handler, its options in usage order); a trailing "?" makes a
+# required option optional
+_COMMANDS = [
+    ("thresholds", _cmd_thresholds, "--q --delta --out"),
+    ("fixpoints", _cmd_fixpoints, "--q --delta --B --out"),
+    ("phase-diagram", _cmd_phase_diagram, "--q --delta --B --out"),
+    ("moments", _cmd_moments, "--model --q? --B? --delta --alpha --exact-n --no-psi2 --seed --csv"),
+    ("norm", _cmd_norm, "--model --q? --B? --delta --out"),
+    ("graph sample", _cmd_graph_sample, "--n --delta --seed --out"),
+    ("graph enumerate", _cmd_graph_enumerate, "--n --delta --count-only --out"),
+    ("graph cycles", _cmd_graph_cycles, "--graph --kmax --out"),
+    ("gadget", _cmd_gadget, "--delta --trees --depth --ncore --seed --out"),
+    ("reduce", _cmd_reduce, "--h --delta --trees --depth --ncore --seed --out"),
+    ("sw run", _cmd_sw_run, "--graph --q --B --steps --start --seed --csv"),
+    ("sw exact", _cmd_sw_exact, "--graph --q --B --cut --out"),
+    ("sweep dif", _cmd_sweep_dif, "--q --delta --points --csv"),
+    ("sweep thresholds", _cmd_sweep_thresholds, "--q-min --q-max --delta-min --delta-max --csv"),
+    ("verify", _cmd_verify, "--only"),
+]
 
 
 def build_parser() -> _Parser:
+    options = _OPTIONS | {"--seed": _OPTIONS["--seed"] | {"default": _default_seed()}}
     parser = _Parser(prog="potts-lab")
     parser.add_argument("--config", help="JSON file of option overrides")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thresholds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = sub.add_parser("fixpoints")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fixpoints)
-
-    p = sub.add_parser("phase-diagram")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_phase_diagram)
-
-    p = sub.add_parser("moments")
-    _add_model_flags(p)
-    p.add_argument("--alpha", help="comma-separated phase vector")
-    p.add_argument("--exact-n", dest="exact_n", type=int)
-    p.add_argument("--no-psi2", dest="no_psi2", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--csv", help="output path (stdout when omitted)")
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("norm")
-    _add_model_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_norm)
-
-    graph = sub.add_parser("graph")
-    gsub = graph.add_subparsers(dest="graph_command", required=True)
-
-    p = gsub.add_parser("sample")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_graph_sample)
-
-    p = gsub.add_parser("enumerate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--count-only", dest="count_only", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_graph_enumerate)
-
-    p = gsub.add_parser("cycles")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_graph_cycles)
-
-    p = sub.add_parser("gadget")
-    _add_gadget_flags(p)
-    p.set_defaults(func=_cmd_gadget)
-
-    p = sub.add_parser("reduce")
-    p.add_argument("--h", required=True, help="graph file for H")
-    _add_gadget_flags(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    sw = sub.add_parser("sw")
-    swsub = sw.add_subparsers(dest="sw_command", required=True)
-
-    p = swsub.add_parser("run")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--start", default="disordered")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_sw_run)
-
-    p = swsub.add_parser("exact")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--cut", help="phase:<color>")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sw_exact)
-
-    sweep = sub.add_parser("sweep")
-    swsweep = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    p = swsweep.add_parser("dif")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_sweep_dif)
-
-    p = swsweep.add_parser("thresholds")
-    p.add_argument("--q-min", dest="q_min", type=int, default=3)
-    p.add_argument("--q-max", dest="q_max", type=int, default=8)
-    p.add_argument("--delta-min", dest="delta_min", type=int, default=3)
-    p.add_argument("--delta-max", dest="delta_max", type=int, default=8)
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_sweep_thresholds)
-
-    p = sub.add_parser("verify")
-    p.add_argument("--only", help="comma-separated criterion numbers")
-    p.set_defaults(func=_cmd_verify)
-
+    groups = {"": sub}
+    for name, func, flags in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest=f"{group}_command", required=True
+            )
+        p = groups[group].add_parser(leaf)
+        for flag in flags.split():
+            option = flag.rstrip("?")
+            kwargs = options[option]
+            if flag != option:
+                kwargs = kwargs | {"required": False}
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

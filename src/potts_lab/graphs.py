@@ -138,8 +138,8 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
     minimum vertex and de-duplicated by direction, which multiplies parallel
     edge multiplicities automatically.
     """
-    if kmax > 12:
-        raise ValueError("cycle counting supported for kmax <= 12")
+    if not 1 <= kmax <= 12:
+        raise ValueError("cycle counting supported for 1 <= kmax <= 12")
     X = np.zeros(kmax, dtype=float)
     u, v, loops = g.loop_split
     X[0] = loops
@@ -235,6 +235,8 @@ def build_gadget(
     n_core + m' minus an m'-matching, plus a (delta-1)-ary tree of the given
     depth per group of exposed vertices.  Tree roots end with degree delta-1,
     every other vertex with degree delta."""
+    if delta < 2 or trees_per_side < 0 or tree_depth < 0:
+        raise ValueError("a gadget needs delta >= 2 and nonnegative trees per side and tree depth")
     group = (delta - 1) ** tree_depth
     m_prime = trees_per_side * group
     if m_prime > n_core:
@@ -243,52 +245,29 @@ def build_gadget(
     rng = graph_rng(seed)
 
     # side + vertices: 0..side-1; side - vertices: side..2*side-1
-    edges = []
-    matchings = []
-    for _ in range(delta):
-        perm = rng.permutation(side)
-        matchings.append(perm)
-        edges.extend((u, side + int(perm[u])) for u in range(side))
+    perms = np.stack([rng.permutation(side) for _ in range(delta)])
     # remove an m'-matching from the last perfect matching
     removed = rng.choice(side, size=m_prime, replace=False)
-    removed_set = {(int(u), side + int(matchings[-1][u])) for u in removed}
-    for e in removed_set:
-        edges.remove(e)
+    keep = np.ones(perms.shape, dtype=bool)
+    keep[-1, removed] = False
+    edges = [np.column_stack((np.nonzero(keep)[1], side + perms[keep]))]
+    w_plus, w_minus = np.sort(removed), np.sort(side + perms[-1, removed])
+    roles = dict.fromkeys(range(side), "Uplus") | dict.fromkeys(range(side, 2 * side), "Uminus")
+    roles |= dict.fromkeys(w_plus.tolist(), "Wplus") | dict.fromkeys(w_minus.tolist(), "Wminus")
 
-    roles = {}
-    w_plus = sorted(int(u) for u in removed)
-    w_minus = sorted(side + int(matchings[-1][u]) for u in removed)
-    wp, wm = set(w_plus), set(w_minus)
-    for v in range(side):
-        roles[v] = "Wplus" if v in wp else "Uplus"
-    for v in range(side, 2 * side):
-        roles[v] = "Wminus" if v in wm else "Uminus"
-
-    next_vertex = 2 * side
-
-    def attach_trees(leaf_pool, root_role):
-        nonlocal next_vertex
-        for t in range(trees_per_side):
-            leaves = leaf_pool[t * group : (t + 1) * group]
-            level = list(leaves)
-            depth_left = tree_depth
-            while depth_left > 0:
-                parents = []
-                for k in range(0, len(level), delta - 1):
-                    p = next_vertex
-                    next_vertex += 1
-                    roles[p] = "treeInternal"
-                    parents.append(p)
-                    for child in level[k : k + delta - 1]:
-                        edges.append((p, child))
-                level = parents
-                depth_left -= 1
-            assert len(level) == 1
-            roles[level[0]] = root_role
-
-    attach_trees(w_plus, "rootPlus")
-    attach_trees(w_minus, "rootMinus")
-    return make_graph(next_vertex, delta, edges, roles)
+    # one (delta-1)-ary tree per group of W vertices, numbered tree by tree
+    # and level by level; a tree of depth 0 is its single W vertex
+    nxt = 2 * side
+    roots = {}
+    for pool, root_role in ((w_plus, "rootPlus"), (w_minus, "rootMinus")):
+        for level in pool.reshape(trees_per_side, group):
+            for _ in range(tree_depth):
+                parents = nxt + np.arange(len(level) // (delta - 1))
+                edges.append(np.column_stack((np.repeat(parents, delta - 1), level)))
+                level, nxt = parents, nxt + len(parents)
+            roots[int(level[0])] = root_role
+    roles |= dict.fromkeys(range(2 * side, nxt), "treeInternal") | roots
+    return make_graph(nxt, delta, np.concatenate(edges), roles)
 
 
 def gadget_parameters_for(n: int, delta: int, theta: float = 1 / 16):

@@ -27,6 +27,7 @@ from .spinsys import (
     Phase,
     Signature,
     SizeGuardError,
+    _check_simplex,
     build_potts_matrix,
     cholesky_factor,
 )
@@ -170,7 +171,7 @@ def inner_edge_max(model: InteractionMatrix, alpha):
 
 def psi1(model: InteractionMatrix, delta: int, alpha) -> float:
     """First-moment exponent at phase alpha, in nats per vertex."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _check_simplex(alpha, model.q)
     sol = _scaling_max(model.entries, alpha)
     return -np.inf if sol is None else _psi1_of_g1(delta, alpha, sol[1])
 
@@ -266,7 +267,7 @@ def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50) -> flo
     feasible starts.  For ferromagnetic models at dominant alpha the maximum
     is attained at the tensor point with value 2 psi1(alpha).
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _check_simplex(alpha, model.q)
     q = model.q
     K = _paired_model(model)
     rng = np.random.Generator(np.random.Philox(key=PSI2_SEED))
@@ -451,7 +452,7 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
 
 def first_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[Z^alpha] over the pairing model, exactly (log-domain internally)."""
-    counts = _integer_counts(alpha, n)
+    counts = _integer_counts(_check_simplex(alpha, model.q), n)
     if (n * delta) % 2 != 0:
         raise ValueError("delta * n must be even")
     B = model.entries
@@ -497,7 +498,7 @@ def _overlap_matrices(counts: np.ndarray):
 def second_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[(Z^alpha)^2] over the pairing model: an exact paired-spin first
     moment summed over integer overlap matrices.  Tiny instances only."""
-    counts = _integer_counts(alpha, n)
+    counts = _integer_counts(_check_simplex(alpha, model.q), n)
     if (n * delta) % 2 != 0:
         raise ValueError("delta * n must be even")
     K = _paired_model(model)

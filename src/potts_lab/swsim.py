@@ -227,6 +227,10 @@ def run_chain(
     """Run Swendsen-Wang and record phase label, color frequencies and
     monochromatic edge density at t = 0..steps.  Deterministic per seed."""
     _check_activity(B)
+    if q < 2:
+        raise ValueError("need q >= 2 spins")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = chain_rng(seed)
     colors = initial_state(g, q, B, start, rng)
     u, v, loops = g.loop_split

@@ -448,3 +448,115 @@ def test_config_records_every_given_option_but_the_output_path(tmp_path):
         assert run_command(argv + [out_flag, str(out)]) == 0, argv
         given = {w[2:].replace("-", "_") for w in argv if w.startswith("--")}
         assert set(_config_of(out.read_text())) == given, argv
+
+
+# format_usage() of every parser at 80 columns, in _parsers order
+PINNED_USAGE = [
+    "usage: potts-lab [-h] [--config CONFIG]\n"
+    "                 {thresholds,fixpoints,phase-diagram,moments,norm,graph,gadget,reduce,sw,sweep,verify}\n"
+    "                 ...\n",
+    "usage: potts-lab thresholds [-h] --q Q --delta DELTA [--out OUT]\n",
+    "usage: potts-lab fixpoints [-h] --q Q --delta DELTA --B B [--out OUT]\n",
+    "usage: potts-lab phase-diagram [-h] --q Q --delta DELTA --B B [--out OUT]\n",
+    "usage: potts-lab moments [-h] --model MODEL [--q Q] [--B B] --delta DELTA\n"
+    "                         [--alpha ALPHA] [--exact-n EXACT_N] [--no-psi2]\n"
+    "                         [--seed SEED] [--csv CSV]\n",
+    "usage: potts-lab norm [-h] --model MODEL [--q Q] [--B B] --delta DELTA\n"
+    "                      [--out OUT]\n",
+    "usage: potts-lab graph [-h] {sample,enumerate,cycles} ...\n",
+    "usage: potts-lab graph sample [-h] --n N --delta DELTA [--seed SEED]\n"
+    "                              [--out OUT]\n",
+    "usage: potts-lab graph enumerate [-h] --n N --delta DELTA [--count-only]\n"
+    "                                 [--out OUT]\n",
+    "usage: potts-lab graph cycles [-h] --graph GRAPH [--kmax KMAX] [--out OUT]\n",
+    "usage: potts-lab gadget [-h] --delta DELTA --trees TREES --depth DEPTH --ncore\n"
+    "                        NCORE [--seed SEED] [--out OUT]\n",
+    "usage: potts-lab reduce [-h] --h H --delta DELTA --trees TREES --depth DEPTH\n"
+    "                        --ncore NCORE [--seed SEED] [--out OUT]\n",
+    "usage: potts-lab sw [-h] {run,exact} ...\n",
+    "usage: potts-lab sw run [-h] --graph GRAPH --q Q --B B --steps STEPS\n"
+    "                        [--start START] [--seed SEED] [--csv CSV]\n",
+    "usage: potts-lab sw exact [-h] --graph GRAPH --q Q --B B [--cut CUT]\n"
+    "                          [--out OUT]\n",
+    "usage: potts-lab sweep [-h] {dif,thresholds} ...\n",
+    "usage: potts-lab sweep dif [-h] --q Q --delta DELTA [--points POINTS]\n"
+    "                           [--csv CSV]\n",
+    "usage: potts-lab sweep thresholds [-h] [--q-min Q_MIN] [--q-max Q_MAX]\n"
+    "                                  [--delta-min DELTA_MIN]\n"
+    "                                  [--delta-max DELTA_MAX] [--csv CSV]\n",
+    "usage: potts-lab verify [-h] [--only ONLY]\n",
+]
+
+
+def test_usage_of_every_parser_is_pinned(monkeypatch):
+    from potts_lab.cli import _parsers, build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert [p.format_usage() for p in _parsers(build_parser())] == PINNED_USAGE
+
+
+def test_every_option_in_the_table_is_used():
+    from potts_lab.cli import _COMMANDS, _OPTIONS
+
+    used = {flag.rstrip("?") for _, _, flags in _COMMANDS for flag in flags.split()}
+    assert used == set(_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [("0.5,0.6,0.7", "simplex vector must have unit 1-norm"), ("0.5,0.6,-0.1", "simplex vector must be nonnegative")],
+)
+def test_moments_alpha_must_be_a_distribution(tmp_path, capsys, alpha, message):
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3", "--alpha", alpha]
+    assert run_command(argv + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_moments_checks_exact_n_before_any_psi_work(monkeypatch, capsys):
+    from potts_lab import moments as mm
+
+    calls = []
+    for name in ("moment_report", "psi1", "psi2"):
+        monkeypatch.setattr(mm, name, lambda *a, name=name, **k: calls.append(name))
+    argv = ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", "3", "--alpha", "0.5,0.5"]
+    assert run_command(argv + ["--exact-n", "0"]) == 1
+    assert capsys.readouterr().err == "error: exact moments need n >= 1 vertices\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_graph_cycles_rejects_kmax_below_one(tmp_path, capsys, kmax):
+    g = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(g)]) == 0
+    out = tmp_path / "c.json"
+    assert run_command(["graph", "cycles", "--graph", str(g), "--kmax", kmax, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cycle counting supported for 1 <= kmax <= 12\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--q", "3", "--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--q", "1", "--steps", "3"], "need q >= 2 spins"),
+        (["--q", "0", "--steps", "3"], "need q >= 2 spins"),
+    ],
+)
+def test_sw_run_rejects_bad_q_and_steps(tmp_path, capsys, flags, message):
+    g = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(g)]) == 0
+    out = tmp_path / "trace.csv"
+    assert run_command(["sw", "run", "--graph", str(g), "--B", "2", *flags, "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gadget_rejects_negative_depth(tmp_path, capsys):
+    out = tmp_path / "gadget.graph"
+    argv = ["gadget", "--delta", "3", "--trees", "1", "--depth", "-1", "--ncore", "10", "--out", str(out)]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a gadget needs delta >= 2 and nonnegative trees per side and tree depth\n"
+    assert not out.exists()

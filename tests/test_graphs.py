@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from itertools import combinations, permutations
@@ -13,6 +14,7 @@ from potts_lab.graphs import (
     count_cycles,
     double_factorial_pairings,
     enumerate_pairings,
+    graph_text,
     make_graph,
     pairing_sample,
     read_graph,
@@ -130,8 +132,9 @@ def test_count_cycles_against_reference():
 
 
 def test_count_cycles_guard():
-    with pytest.raises(ValueError):
-        count_cycles(triangle(), 13)
+    for kmax in (13, 0, -1):
+        with pytest.raises(ValueError, match=r"^cycle counting supported for 1 <= kmax <= 12$"):
+            count_cycles(triangle(), kmax)
 
 
 def test_cycle_poisson_means_small_sample():
@@ -243,6 +246,47 @@ def test_gadget_bipartite():
 def test_gadget_divisibility_guard():
     with pytest.raises(ValueError):
         build_gadget(3, trees_per_side=3, tree_depth=2, n_core=8, seed=0)
+
+
+@pytest.mark.parametrize("args", [(3, -1, 1, 10), (3, 1, -1, 10), (1, 1, 1, 4), (0, 1, 1, 4)])
+def test_gadget_rejects_bad_shapes(args):
+    with pytest.raises(ValueError, match="^a gadget needs delta >= 2 and nonnegative trees"):
+        build_gadget(*args, seed=0)
+
+
+# SHA-256 of graph_text for gadgets and reductions that must stay
+# bit-identical for fixed seeds: (delta, trees_per_side, tree_depth, n_core,
+# seed), with the CLI `gadget` example first
+PINNED_GADGETS = {
+    (3, 2, 2, 16, 3): "f5c73ff592846d6b04f919a12991054fd5239407286031d6c595653733e0aab9",
+    (3, 1, 1, 4, 0): "13013c040913bd05aae3a00f4b1122251cf717bf36683a11b661602bbfe5d1c8",
+    (2, 3, 2, 10, 5): "070b629c37aae601523606c2743a32bb7cdc538830858175b3cb16ecaf75b786",
+    (4, 2, 2, 40, 7): "d0c4f4f9523850c6e183a597c6ceff13a3ab6ff7bf108a2456b2481daa417e6c",
+    (5, 1, 1, 9, 11): "8e0308f0162ce56ca42ed376db1e8c19cceaf8e3a54715d7e9449f897c06aa39",
+    (3, 0, 0, 6, 2): "4204eb97b8a773ad210facd40c9ee6d27038aab6ef66a2d6d2d4c4764947764f",
+    (4, 0, 3, 5, 1): "0b743b08a463f82878f05e994032a0075b7e6784d10d2f078ecd580d4894e77b",
+}
+# the CLI `reduce` example (H a triangle, gadget seeds 3 ^ v) and a path-like H
+PINNED_REDUCTIONS = {
+    "triangle": "522e9a7c04d265dd925fa466cdc719a7d21bd9e4bf6fca7691ac9cf1823dbdc2",
+    "tree": "0f74396924ced7a4ac5012f765acae3425c3305062e13c32ff53b459235164ac",
+}
+
+
+def test_gadget_and_reduction_match_pinned_digests():
+    def sha(g):
+        return hashlib.sha256(graph_text(g).encode()).hexdigest()
+
+    for args, digest in PINNED_GADGETS.items():
+        assert sha(build_gadget(*args)) == digest, args
+    triangle_h = build_reduction(
+        [(0, 1), (1, 2), (0, 2)], [build_gadget(3, 2, 1, 4, 3 ^ v) for v in range(3)]
+    )
+    assert sha(triangle_h) == PINNED_REDUCTIONS["triangle"]
+    tree_h = build_reduction(
+        [(0, 1), (0, 2), (1, 3)], [build_gadget(4, 2, 1, 12, 9 ^ v) for v in range(4)]
+    )
+    assert sha(tree_h) == PINNED_REDUCTIONS["tree"]
 
 
 def test_reduction_single_edge_and_triangle():

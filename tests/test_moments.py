@@ -168,6 +168,27 @@ def test_exact_moments_need_a_positive_n(n):
             exact(n, 3, m, [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ([0.5, 0.6, 0.7], "simplex vector must have unit 1-norm"),
+        ([0.5, 0.6, -0.1], "simplex vector must be nonnegative"),
+        ([0.5, 0.5], "expected a length-3 vector"),
+    ],
+)
+def test_moments_need_alpha_on_the_simplex(alpha, message):
+    m = build_potts_matrix(3, 2.0)
+    calls = [
+        lambda: psi1(m, 3, alpha),
+        lambda: psi2(m, 3, alpha),
+        lambda: first_moment_exact(4, 3, m, alpha),
+        lambda: second_moment_exact(4, 3, m, alpha),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_first_moment_converges_to_psi1():
     m = build_potts_matrix(3, 2.0)
     target = psi1(m, 3, np.ones(3) / 3)

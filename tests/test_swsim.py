@@ -184,6 +184,20 @@ def test_ordered_start_color_out_of_range_is_rejected_before_drawing(color):
         run_chain(g, 6, Bo, steps=3, start=("ordered", color))
 
 
+@pytest.mark.parametrize(
+    "q, steps, message",
+    [(1, 3, "need q >= 2 spins"), (0, 3, "need q >= 2 spins"), (3, -1, "steps must be >= 0, got -1")],
+)
+def test_run_chain_rejects_bad_q_and_steps_before_drawing(monkeypatch, q, steps, message):
+    from potts_lab import swsim
+
+    rng = chain_rng(1)
+    monkeypatch.setattr(swsim, "chain_rng", lambda seed: rng)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_chain(pairing_sample(4, 3, seed=3), q, 2.0, steps)
+    assert rng.random() == chain_rng(1).random()
+
+
 @pytest.mark.parametrize("start", ["ordered", ("ordered",), ("disordered", 0), [0, 1, 2, 0]])
 def test_other_starts_are_rejected_before_drawing(start):
     g = pairing_sample(4, 3, seed=3)
