@@ -56,7 +56,6 @@ from .graphs import (
     write_graph,
 )
 from .swsim import (
-    SWState,
     SWTrace,
     classify_UMT,
     conductance,

@@ -311,10 +311,9 @@ def annealed_log_partition(g, q: int, B: float, n_chains: int, n_temps: int, see
     log_w = np.zeros(n_chains)
     for c in range(n_chains):
         colors = rng.integers(0, q, size=g.n)
-        state = swsim.SWState(colors=colors, mono_edges=swsim.mono_edge_count(g, colors))
         for k in range(n_temps):
-            log_w[c] += state.mono_edges * (math.log(ladder[k + 1]) - math.log(ladder[k]))
-            state = swsim.sw_step(g, q, float(ladder[k + 1]), state, rng)
+            log_w[c] += swsim.mono_edge_count(g, colors) * (math.log(ladder[k + 1]) - math.log(ladder[k]))
+            colors = swsim.sw_step(g, q, float(ladder[k + 1]), colors, rng)
     m = log_w.max()
     return g.n * math.log(q) + m + math.log(np.mean(np.exp(log_w - m)))
 
@@ -336,6 +335,8 @@ CRITERIA = {
 
 def run_suite(only=None) -> list[CriterionResult]:
     numbers = sorted(CRITERIA) if only is None else sorted(only)
+    if not set(numbers) <= CRITERIA.keys():
+        raise ValueError(f"criteria are numbered {min(CRITERIA)}..{max(CRITERIA)}, got {numbers}")
     results = []
     for k in numbers:
         res = CRITERIA[k]()

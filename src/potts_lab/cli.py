@@ -173,6 +173,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    if args.delta < 2:
+        raise ValueError(f"--delta must be >= 2, got {args.delta}")
     Bhat = cholesky_factor(_model_from_args(args))
     p = args.delta / (args.delta - 1.0)
     value, argmax = moments.matrix_norm_p2(Bhat, p)
@@ -198,16 +200,12 @@ def _graph_text(g, args) -> str:
 
 
 def _cmd_graph_enumerate(args) -> int:
-    count = 0
-    lines = []
-    for g in graphs.enumerate_pairings(args.n, args.delta):
-        count += 1
-        if not args.count_only:
-            lines.append(" ".join(f"{u}-{v}" for u, v in g.edges.tolist()))
+    pairings = graphs.enumerate_pairings(args.n, args.delta)
     if args.count_only:
-        _emit(f"{count}\n", args.out)
+        _emit(f"{sum(1 for _ in pairings)}\n", args.out)
     else:
-        _emit("\n".join(lines) + f"\n# total {count}\n", args.out)
+        lines = [" ".join(f"{u}-{v}" for u, v in g.edges.tolist()) for g in pairings]
+        _emit("\n".join(lines) + f"\n# total {len(lines)}\n", args.out)
     return 0
 
 
@@ -250,11 +248,10 @@ def _cmd_sw_run(args) -> int:
         g, args.q, args.B, args.steps, start=_parse_start(args.start), seed=args.seed
     )
     header = ["t", "phase"] + [f"c_{i}" for i in range(args.q)] + ["mono_density"]
-    rows = []
-    for t in range(args.steps + 1):
-        rows.append(
-            [t, int(trace.phase[t])] + list(trace.freqs[t]) + [float(trace.mono_density[t])]
-        )
+    rows = [
+        [t, int(trace.phase[t])] + list(trace.freqs[t]) + [float(trace.mono_density[t])]
+        for t in range(args.steps + 1)
+    ]
     text = _csv_artifact(
         "sw run", args, header, rows,
         "phase is a color index; c_ are frequencies; mono_density is monochromatic edges per vertex",
@@ -325,7 +322,10 @@ def _cmd_sweep_thresholds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = [int(x) for x in args.only.split(",")] if args.only else None
+    try:
+        only = [int(x) for x in args.only.split(",")] if args.only else None
+    except ValueError:
+        raise ValueError(f"--only takes comma-separated criterion numbers, got {args.only!r}") from None
     results = acceptance.run_suite(only=only)
     return 0 if all(r.passed for r in results if r.gating) else 1
 

@@ -79,11 +79,17 @@ def graph_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _check_pairing_size(n: int, delta: int) -> None:
+    if n < 0 or delta < 0:
+        raise ValueError(f"a pairing needs n >= 0 and delta >= 0, got n={n}, delta={delta}")
+    if (n * delta) % 2 != 0:
+        raise ValueError("delta * n must be even")
+
+
 def sample_matching(n: int, delta: int, seed: int) -> np.ndarray:
     """Uniform perfect matching of the delta*n points as a (delta*n/2, 2)
     array of point pairs, deterministic per seed."""
-    if (n * delta) % 2 != 0:
-        raise ValueError("delta * n must be even")
+    _check_pairing_size(n, delta)
     return graph_rng(seed).permutation(n * delta).reshape(-1, 2)
 
 
@@ -95,9 +101,8 @@ def pairing_sample(n: int, delta: int, seed: int) -> RegularGraph:
 
 def enumerate_pairings(n: int, delta: int):
     """All (delta*n - 1)!! perfect matchings of the points, as graphs."""
+    _check_pairing_size(n, delta)
     m = n * delta
-    if m % 2 != 0:
-        raise ValueError("delta * n must be even")
     if m > ENUMERATE_POINTS_GUARD:
         raise SizeGuardError(f"{m} points exceed the enumeration guard {ENUMERATE_POINTS_GUARD}")
 

@@ -32,6 +32,7 @@ from .spinsys import (
     cholesky_factor,
 )
 from . import treefix
+from .graphs import _check_pairing_size
 from .treefix import Fixpoint, potts_thresholds
 
 IPF_TOL = 1e-13
@@ -453,8 +454,7 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> f
 def first_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[Z^alpha] over the pairing model, exactly (log-domain internally)."""
     counts = _integer_counts(_check_simplex(alpha, model.q), n)
-    if (n * delta) % 2 != 0:
-        raise ValueError("delta * n must be even")
+    _check_pairing_size(n, delta)
     B = model.entries
     with np.errstate(divide="ignore"):
         logB = np.log(B)
@@ -499,8 +499,7 @@ def second_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> 
     """E[(Z^alpha)^2] over the pairing model: an exact paired-spin first
     moment summed over integer overlap matrices.  Tiny instances only."""
     counts = _integer_counts(_check_simplex(alpha, model.q), n)
-    if (n * delta) % 2 != 0:
-        raise ValueError("delta * n must be even")
+    _check_pairing_size(n, delta)
     K = _paired_model(model)
     with np.errstate(divide="ignore"):
         logK = np.log(K)

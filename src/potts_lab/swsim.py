@@ -32,12 +32,6 @@ EXACT_KERNEL_GUARD = 20000
 
 
 @dataclass(frozen=True)
-class SWState:
-    colors: np.ndarray
-    mono_edges: int
-
-
-@dataclass(frozen=True)
 class SWTrace:
     """Per-step summary statistics of a Swendsen-Wang run."""
 
@@ -68,6 +62,8 @@ def components(n: int, a, b):
     until all point at their tree's root (its smallest vertex) and maps the
     edges onto the roots; the next level runs on the edges that still join
     two trees and the k roots they touch, renumbered 0..k-1 in order."""
+    if len(a) == 0:
+        return n, np.arange(n)
     size, levels = n, []
     while True:
         parent = np.arange(n)
@@ -109,13 +105,12 @@ def _step_arrays(mono, u, v, n, q, B, rng):
     return rng.integers(0, q, size=count)[comp_of]
 
 
-def sw_step(g: RegularGraph, q: int, B: float, state: SWState, rng) -> SWState:
-    """One Swendsen-Wang update; requires B >= 1."""
+def sw_step(g: RegularGraph, q: int, B: float, colors, rng) -> np.ndarray:
+    """The coloring after one Swendsen-Wang update of `colors`; requires B >= 1."""
     _check_activity(B)
     u, v, _ = g.loop_split
-    colors = np.asarray(state.colors)
-    colors = _step_arrays((colors[u] == colors[v]).nonzero()[0], u, v, g.n, q, B, rng)
-    return SWState(colors=colors, mono_edges=mono_edge_count(g, colors))
+    colors = np.asarray(colors)
+    return _step_arrays((colors[u] == colors[v]).nonzero()[0], u, v, g.n, q, B, rng)
 
 
 def phase_of(colors, q: int) -> int:

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from potts_lab import acceptance
+from potts_lab import acceptance, graphs
 
 
 def _report(res):
@@ -102,3 +102,12 @@ def test_criterion_11_bethe_trend_informational():
     inside = res.detail.split("[")[1].split("]")[0]
     gaps = [float(x) for x in inside.split(",")]
     assert len(gaps) == 2 and all(math.isfinite(g) for g in gaps)
+
+
+def test_criterion_11_estimates_are_pinned():
+    # criterion 11's graphs and chain seeds; the floats pin every bond and
+    # recoloring draw of the annealed chains and the order of the log-weight sums
+    seed, pinned = 31, {64: 99.80871728195743, 128: 195.93515737054514}
+    for n, want in pinned.items():
+        g = graphs.pairing_sample(n, 3, seed=seed ^ n)
+        assert acceptance.annealed_log_partition(g, 3, 2.0, n_chains=32, n_temps=64, seed=seed + n) == want

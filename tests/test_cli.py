@@ -125,6 +125,15 @@ def test_norm_command(capsys):
     assert abs(payload["delta_ln_norm"] - (1.5 * math.log(12) - 2 * math.log(3))) < 1e-8
 
 
+@pytest.mark.parametrize("delta", ["1", "0"])
+def test_norm_rejects_delta_below_two(tmp_path, capsys, delta):
+    out = tmp_path / "norm.json"
+    argv = ["norm", "--model", "potts", "--q", "3", "--B", "2", "--delta", delta, "--out", str(out)]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == f"error: --delta must be >= 2, got {delta}\n"
+    assert not out.exists()
+
+
 def test_norm_argmax_at_coexistence_is_the_first_maximizer(capsys):
     # at Bo(4, 4) the uniform and the ordered vectors both attain the norm;
     # the uniform start comes first and must win whatever the last bits say
@@ -140,6 +149,22 @@ def test_graph_sample_reproducible(tmp_path):
     assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
     assert "# config" in a.read_text()
+
+
+@pytest.mark.parametrize("command", ["sample", "enumerate"])
+@pytest.mark.parametrize(
+    "n, delta, message",
+    [
+        ("-2", "3", "a pairing needs n >= 0 and delta >= 0, got n=-2, delta=3"),
+        ("2", "-3", "a pairing needs n >= 0 and delta >= 0, got n=2, delta=-3"),
+        ("3", "3", "delta * n must be even"),
+    ],
+)
+def test_graph_pairings_reject_impossible_sizes(tmp_path, capsys, command, n, delta, message):
+    out = tmp_path / "g.txt"
+    assert run_command(["graph", command, "--n", n, "--delta", delta, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sw_run_reproducible(tmp_path):
@@ -382,6 +407,28 @@ def test_verify_only_fast_criteria(capsys):
     out = capsys.readouterr().out
     assert "PASS criterion 1" in out
     assert "PASS criterion 9" in out
+
+
+@pytest.mark.parametrize(
+    "only, message",
+    [
+        ("99", "criteria are numbered 1..11, got [99]"),
+        ("0", "criteria are numbered 1..11, got [0]"),
+        ("1,99", "criteria are numbered 1..11, got [1, 99]"),
+        ("1,x", "--only takes comma-separated criterion numbers, got '1,x'"),
+    ],
+)
+def test_verify_rejects_unknown_criteria_before_running_any(monkeypatch, capsys, only, message):
+    from potts_lab import acceptance
+
+    ran = []
+    criteria = {k: (lambda k=k: ran.append(k)) for k in acceptance.CRITERIA}
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert run_command(["verify", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert ran == []
 
 
 @pytest.mark.parametrize(
