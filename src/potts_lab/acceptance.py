@@ -84,8 +84,8 @@ def criterion_3() -> CriterionResult:
             th = treefix.potts_thresholds(q, delta)
             for B in np.linspace(1.05, 2 * th.Brc, 20):
                 model = build_potts_matrix(q, float(B))
-                for fp in treefix.potts_fixpoints(q, delta, float(B)):
-                    rep = treefix.classify_stability(model, delta, fp)
+                fps = treefix.potts_fixpoints(q, delta, float(B))
+                for fp, rep in zip(fps, treefix.stability_reports(model, delta, fps)):
                     hess_neg = bool(np.all(rep.hessian_eigen < 0))
                     if fp.attractive != hess_neg:
                         ok = False

@@ -549,8 +549,8 @@ def _dif_of_ratio(q: int, delta: int, x: float) -> float:
     )
 
 
-def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
-    rep = treefix.classify_stability(model, delta, fp)
+def _phase_from_fixpoint(model, delta, fp, rep, psi1_value=None) -> Phase:
+    """The phase at fp, given its stability report rep."""
     val = phi1(model, delta, fp.R) if psi1_value is None else psi1_value
     hess_neg = bool(np.all(rep.hessian_eigen < 0))
     return Phase(
@@ -587,21 +587,23 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
         raise ValueError("phase diagram covers the ferromagnetic regime B > 1")
     th = potts_thresholds(q, delta)
     model = build_potts_matrix(q, B)
-    uniform_fp = treefix.make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))
-    uniform = _phase_from_fixpoint(model, delta, uniform_fp)
-    maj = treefix.majority_fixpoint(q, delta, B)
+    # the uniform and (above Bu) the majority fixpoint, built and classified
+    # in one batched pass each
+    x = treefix.majority_ratio(q, delta, B)
+    fps = treefix.two_value_fixpoints(model, delta, [(q, 1.0)] + ([] if x is None else [(1, x)]))
+    reports = treefix.stability_reports(model, delta, fps)
+    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp, rep) for fp, rep in zip(fps, reports)]
     dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
-    if maj is not None:
-        ordered = _phase_from_fixpoint(model, delta, maj)
-        dif = _dif_of_ratio(q, delta, maj.potts_structure[1])
-        psi1_max = max(uniform.psi1, ordered.psi1)
-        ordered_orbit = _orbit(_with_dominance(ordered, psi1_max))
+    if x is not None:
+        dif = _dif_of_ratio(q, delta, x)
+        psi1_max = max(uniform.psi1, ordered[0].psi1)
+        ordered_orbit = _orbit(_with_dominance(ordered[0], psi1_max))
     uniform = _with_dominance(uniform, psi1_max)
 
-    if maj is not None and abs(B - th.Bo) <= 1e-9:
+    if x is not None and abs(B - th.Bo) <= 1e-9:
         regime = "coexistence"
         dominant = [uniform] + ordered_orbit
-    elif maj is None or B < th.Bu:
+    elif x is None or B < th.Bu:
         regime = "disordered-only"
         dominant = [uniform]
     elif B < th.Bo:
@@ -718,9 +720,10 @@ def moment_report(
             psi1s.append(psi1(model, delta, fps[-1].alpha))
 
     psi1_max = max(psi1s)
+    reports = treefix.stability_reports(model, delta, fps)
     phases = [
-        (_with_dominance(_phase_from_fixpoint(model, delta, fp, psi1_value=v), psi1_max), fp)
-        for fp, v in zip(fps, psi1s)
+        (_with_dominance(_phase_from_fixpoint(model, delta, fp, rep, psi1_value=v), psi1_max), fp)
+        for fp, rep, v in zip(fps, reports, psi1s)
     ]
     dominant = [ph for ph, _ in phases if ph.dominant]
 

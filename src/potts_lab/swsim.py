@@ -271,14 +271,23 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
         _, labels = components(2**m * n, u[mono[k]] + copy * n, v[mono[k]] + copy * n)
         labels = labels.reshape(2**m, n)
         labels = labels - labels[:, :1]
-        for mask in range(2**m):
-            kept = mask.bit_count()
-            prob = keep_p**kept * (1.0 - keep_p) ** (m - kept)
-            comp_of = labels[mask]
-            c = int(comp_of.max(initial=-1)) + 1
-            # the first q^c states run through every coloring of c components
-            targets = states[: q**c, comp_of] @ powers
-            np.add.at(P[s], targets, prob / q**c)
+        c = labels.max(axis=1, initial=-1) + 1
+        size = q**c
+        first = np.cumsum(size) - size
+        # copy r recolors its c components in q^c ways, the first q^c states:
+        # coloring j gives vertex i the color states[j, labels[r, i]], so its
+        # index is sum_k states[j, k] * W[r, k], W[r, k] = sum of q^i over the
+        # vertices i of component k; copies with equal c go in one product
+        W = (labels[:, None, :] == np.arange(n)[:, None]) @ powers
+        targets = np.empty(size.sum(), dtype=np.int64)
+        for cc in np.unique(c):
+            rows = np.nonzero(c == cc)[0]
+            targets[first[rows, None] + np.arange(q**cc)] = W[rows, :cc] @ states[: q**cc, :cc].T
+        prob = np.array([keep_p**i * (1.0 - keep_p) ** (m - i) for i in range(m + 1)])
+        weights = np.repeat(prob[np.bincount(copy, minlength=2**m)] / size, size)
+        # add.at adds in index order, so each entry of P sums its terms in
+        # copy order, as one call per copy would
+        np.add.at(P[s], targets, weights)
     return P
 
 

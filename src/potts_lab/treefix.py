@@ -16,6 +16,7 @@ closed-form activity thresholds Bu < Bo < Brc.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,40 +78,68 @@ class PottsThresholds:
 
 
 def canonical(model: InteractionMatrix, R) -> np.ndarray:
-    """Rescale R so that sum_ij B_ij R_i R_j = 1."""
+    """Rescale R (or each row of a stack of them) so that sum_ij B_ij R_i R_j = 1."""
     R = np.asarray(R, dtype=float)
-    return R / math.sqrt(float(R @ model.entries @ R))
+    return R / np.sqrt(R[..., None, :] @ model.entries @ R[..., :, None])[..., 0]
 
 
 def tree_step(model: InteractionMatrix, delta: int, R) -> np.ndarray:
-    """One application of the depth-one recursion, canonically normalized."""
+    """One application of the depth-one recursion (to each row of a stack),
+    canonically normalized."""
     if delta < 3:
         raise ValueError("need degree delta >= 3")
     R = np.asarray(R, dtype=float)
-    if np.any(R <= 0):
+    if (R <= 0).any():
         raise ValueError("ratio vector must be strictly positive")
-    out = (model.entries @ R) ** (delta - 1)
+    out = (model.entries @ R[..., :, None])[..., 0] ** (delta - 1)
     # guard against under/overflow from the power before normalizing
-    out = out / out.max()
+    out = out / out.max(axis=-1, keepdims=True)
     return canonical(model, out)
 
 
+def _residuals(model: InteractionMatrix, delta: int, R) -> np.ndarray:
+    R = canonical(model, R)
+    return np.abs(tree_step(model, delta, R) - R).max(axis=-1)
+
+
 def fixpoint_residual(model: InteractionMatrix, delta: int, R) -> float:
-    R = canonical(model, np.asarray(R, dtype=float))
-    return float(np.max(np.abs(tree_step(model, delta, R) - R)))
+    return float(_residuals(model, delta, R))
 
 
 def alpha_from_ratio(delta: int, R) -> np.ndarray:
-    """Phase induced by a ratio vector: alpha_i ~ R_i^(Delta/(Delta-1))."""
+    """Phase induced by a ratio vector (or each row of a stack):
+    alpha_i ~ R_i^(Delta/(Delta-1))."""
     R = np.asarray(R, dtype=float)
-    a = (R / R.max()) ** (delta / (delta - 1))
-    return a / a.sum()
+    a = (R / R.max(axis=-1, keepdims=True)) ** (delta / (delta - 1))
+    return a / a.sum(axis=-1, keepdims=True)
 
 
-def _complement_basis(e: np.ndarray) -> np.ndarray:
-    q = len(e)
-    full, _ = np.linalg.qr(np.column_stack([e, np.eye(q)]))
-    return full[:, 1:q]
+def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric maps M and their restricted spectra at the k canonical
+    ratio rows of R, shape (k, q); raises unless every row is a fixpoint.
+
+    Every product is a batched mat-vec or a stack of small matrix products,
+    which run one BLAS call per row exactly as a single row would, so each
+    row's bits do not depend on the rows stacked with it.  One matrix product
+    over all rows (R @ B.T) would round differently.
+    """
+    res = _residuals(model, delta, R)
+    if (res >= FIXPOINT_RESIDUAL_TOL).any():
+        raise ValueError(f"not a fixpoint: tree-step residual {res.max():.3e}")
+    k, q = R.shape
+    alpha = R * (model.entries @ R[:, :, None])[:, :, 0]
+    alpha = alpha / alpha.sum(axis=1, keepdims=True)
+    e = np.sqrt(alpha)
+    M = model.entries * (R[:, :, None] * R[:, None, :]) / (e[:, :, None] * e[:, None, :])
+    # orthonormal basis of the complement of e: QR of [e | I] minus its first column
+    basis = np.repeat(np.eye(q, q + 1, 1)[None], k, axis=0)
+    basis[:, :, 0] = e
+    Q = np.linalg.qr(basis)[0][:, :, 1:]
+    return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q)
+
+
+def _rows(model: InteractionMatrix, fps) -> np.ndarray:
+    return np.array([fp.R if isinstance(fp, Fixpoint) else canonical(model, fp) for fp in fps])
 
 
 def jacobian_matrix(model: InteractionMatrix, delta: int, fp) -> JacobianReport:
@@ -119,59 +148,69 @@ def jacobian_matrix(model: InteractionMatrix, delta: int, fp) -> JacobianReport:
     The restricted spectrum lives on the subspace sum_i sqrt(alpha_i) r_i = 0;
     Jacobian eigenvalues are (Delta-1) times the restricted eigenvalues.
     """
-    R = fp.R if isinstance(fp, Fixpoint) else canonical(model, fp)
-    res = fixpoint_residual(model, delta, R)
-    if res >= FIXPOINT_RESIDUAL_TOL:
-        raise ValueError(f"not a fixpoint: tree-step residual {res:.3e}")
-    BR = model.entries @ R
-    alpha = R * BR
-    alpha = alpha / alpha.sum()
-    e = np.sqrt(alpha)
-    M = model.entries * np.outer(R, R) / np.outer(e, e)
-    Q = _complement_basis(e)
-    restricted = np.linalg.eigvalsh(Q.T @ M @ Q)
+    M, restricted = _spectra(model, delta, _rows(model, [fp]))
     return JacobianReport(
-        matrix=M,
-        restricted_spectrum=restricted,
-        jacobian_eigen=(delta - 1) * restricted,
+        matrix=M[0],
+        restricted_spectrum=restricted[0],
+        jacobian_eigen=(delta - 1) * restricted[0],
     )
 
 
-def _stability_from(rep: JacobianReport, delta: int, model: InteractionMatrix) -> StabilityReport:
-    rho = float(np.max(np.abs(rep.jacobian_eigen))) if len(rep.jacobian_eigen) else 0.0
-    if abs(rho - 1.0) <= MARGINAL_BAND:
-        stability = MARGINAL
-    elif rho < 1.0:
-        stability = ATTRACTIVE
-    else:
-        stability = UNSTABLE
-    x = rep.restricted_spectrum
+def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
+    """The stability label of each row of Jacobian eigenvalues, by spectral radius."""
+    return [
+        MARGINAL if abs(rho - 1.0) <= MARGINAL_BAND else ATTRACTIVE if rho < 1.0 else UNSTABLE
+        for rho in np.abs(jacobian_eigen).max(axis=1, initial=0.0).tolist()
+    ]
+
+
+def stability_reports(model: InteractionMatrix, delta: int, fps) -> list[StabilityReport]:
+    """classify_stability for each of several fixpoints, in one batched pass."""
+    _, x = _spectra(model, delta, _rows(model, fps))
     hessian = (1.0 + x) * ((delta - 1) * x - 1.0)
-    return StabilityReport(
-        stability=stability,
-        hessian_eigen=hessian,
-        ferro_equivalence=model.signature is Signature.FERROMAGNETIC,
-    )
+    ferro = model.signature is Signature.FERROMAGNETIC
+    return [
+        StabilityReport(stability=st, hessian_eigen=h, ferro_equivalence=ferro)
+        for st, h in zip(_stabilities((delta - 1) * x), hessian)
+    ]
 
 
 def classify_stability(model: InteractionMatrix, delta: int, fp) -> StabilityReport:
     """Stability from the restricted spectrum plus the induced Hessian eigenvalues."""
-    return _stability_from(jacobian_matrix(model, delta, fp), delta, model)
+    return stability_reports(model, delta, [fp])[0]
+
+
+def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
+    """Fixpoints at the k ratio rows of R, shape (k, q), built in one batched
+    pass; structures gives each row's potts_structure."""
+    R = canonical(model, R)
+    R.flags.writeable = False
+    # The spectra are taken at canonical(R), a few ulps from the stored R (see
+    # ROADMAP "Known, not yet scheduled"); the pinned outputs depend on it.
+    _, restricted = _spectra(model, delta, canonical(model, R))
+    jac = (delta - 1) * restricted
+    alpha = alpha_from_ratio(delta, R)
+    residual = _residuals(model, delta, R)
+    if structures is None:
+        structures = [None] * len(R)
+    return [
+        Fixpoint(R=row, alpha=a, jacobian_eigen=j, stability=st, residual=res, potts_structure=ps)
+        for row, a, j, st, res, ps in zip(
+            R, alpha, jac, _stabilities(jac), residual.tolist(), structures
+        )
+    ]
 
 
 def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None) -> Fixpoint:
-    R = canonical(model, np.asarray(R, dtype=float))
-    R.flags.writeable = False
-    jac = jacobian_matrix(model, delta, R)
-    rep = _stability_from(jac, delta, model)
-    return Fixpoint(
-        R=R,
-        alpha=alpha_from_ratio(delta, R),
-        jacobian_eigen=jac.jacobian_eigen,
-        stability=rep.stability,
-        residual=fixpoint_residual(model, delta, R),
-        potts_structure=potts_structure,
-    )
+    return make_fixpoints(model, delta, np.asarray(R, dtype=float)[None], [potts_structure])[0]
+
+
+def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> list[Fixpoint]:
+    """Potts fixpoints with t coordinates at ratio x and the rest at 1, one per
+    (t, x) in structures, built in one batched pass."""
+    q = model.q
+    R = np.array([np.concatenate([np.full(t, x), np.ones(q - t)]) for t, x in structures])
+    return make_fixpoints(model, delta, R, structures)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -215,7 +254,17 @@ def _golden_min(f, lo: float, hi: float) -> float:
 
 def _activity_of_ratio(y: float, q: int, d: int, t: int) -> float:
     """B - 1 as a function of the two-value ratio y = (R_1/R_q)^(1/d)."""
-    return (y - 1.0) * (t * y**d + q - t) / (y**d - y)
+    yd = y**d
+    return (y - 1.0) * (t * yd + q - t) / (yd - y)
+
+
+@functools.cache
+def _grid_power(d: int) -> np.ndarray:
+    """_Y_GRID**d, read-only and shared by every two_value_roots call at degree d + 1."""
+    with np.errstate(over="ignore"):
+        yd = _Y_GRID**d
+    yd.flags.writeable = False
+    return yd
 
 
 def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
@@ -231,8 +280,8 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     def g(y):
         return _activity_of_ratio(y, q, d, t) - target
 
+    yd = _grid_power(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        yd = _Y_GRID**d
         gs = (_Y_GRID - 1.0) * (t * yd + q - t) / (yd - _Y_GRID) - target
         crossing = gs[:-1] * gs[1:] < 0
     roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
@@ -262,30 +311,29 @@ def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
 
     Returns the uniform fixpoint first, then one representative per orbit of
     two-value fixpoints (t large coordinates with ratio x > 1), ordered by t
-    and decreasing x.
+    and, within each t, by increasing x.  All are built in one batched pass.
     """
     if not B > 1:
         raise ValueError("Potts fixpoint enumeration expects the ferromagnetic regime B > 1")
-    model = build_potts_matrix(q, B)
     d = delta - 1
-    fps = [make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))]
-    for t in range(1, q):
-        for y in two_value_roots(q, delta, B, t):
-            x = y**d
-            R = np.concatenate([np.full(t, x), np.ones(q - t)])
-            fps.append(make_fixpoint(model, delta, R, potts_structure=(t, x)))
-    return fps
+    structures = [(q, 1.0)] + [
+        (t, y**d) for t in range(1, q) for y in two_value_roots(q, delta, B, t)
+    ]
+    return two_value_fixpoints(build_potts_matrix(q, B), delta, structures)
+
+
+def majority_ratio(q: int, delta: int, B: float) -> float | None:
+    """The largest ratio x = R_1/R_q of a majority (t = 1) fixpoint, or None below Bu."""
+    roots = two_value_roots(q, delta, B, 1)
+    return max(roots) ** (delta - 1) if roots else None
 
 
 def majority_fixpoint(q: int, delta: int, B: float) -> Fixpoint | None:
     """The majority (t = 1) fixpoint with maximal ratio x, or None below Bu."""
-    roots = two_value_roots(q, delta, B, 1)
-    if not roots:
+    x = majority_ratio(q, delta, B)
+    if x is None:
         return None
-    x = max(roots) ** (delta - 1)
-    model = build_potts_matrix(q, B)
-    R = np.concatenate([[x], np.ones(q - 1)])
-    return make_fixpoint(model, delta, R, potts_structure=(1, x))
+    return two_value_fixpoints(build_potts_matrix(q, B), delta, [(1, x)])[0]
 
 
 def uniqueness_polynomial(y: float, q: int, d: int) -> float:
@@ -299,9 +347,13 @@ def uniqueness_polynomial(y: float, q: int, d: int) -> float:
     )
 
 
+@functools.cache
 def potts_thresholds(q: int, delta: int) -> PottsThresholds:
     """The activity thresholds Bu (tree uniqueness), Bo (phase coexistence)
-    and Brc (random-cluster) for the q-state Potts model on degree delta."""
+    and Brc (random-cluster) for the q-state Potts model on degree delta.
+
+    Cached: the result is a frozen record of floats, a pure function of q and
+    delta.  A call that raises is not cached."""
     if q < 3 or delta < 3:
         raise ValueError("thresholds need q >= 3 and delta >= 3")
     d = delta - 1
@@ -378,4 +430,4 @@ def find_fixpoints(
     for R in found:
         if not any(np.max(np.abs(R - S)) < 1e-6 for S in dedup):
             dedup.append(R)
-    return [make_fixpoint(model, delta, R) for R in dedup]
+    return make_fixpoints(model, delta, np.array(dedup).reshape(-1, model.q))

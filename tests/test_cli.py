@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,24 @@ def test_exit_codes(tmp_path, capsys):
     assert run_command(["graph", "enumerate", "--n", "10", "--delta", "3", "--count-only"]) == 2
     assert run_command(["thresholds", "--q", "2", "--delta", "3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["potts_lab", "potts_lab.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["thresholds", "--q", "3", "--delta", "3"]
+
+    def run(*extra):
+        cmd = [sys.executable, "-m", module, *argv, *extra]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    done = run()
+    assert run_command(argv) == 0
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+    bad = run("--nope")
+    assert bad.returncode == 1
+    assert "unrecognized arguments: --nope" in bad.stderr
 
 
 def test_config_file_overrides(tmp_path, capsys):

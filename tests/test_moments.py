@@ -351,6 +351,33 @@ def test_orbit_matches_loop_reference():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("q,delta", [(3, 3), (5, 4), (8, 6)])
+def test_phase_diagram_hessians_are_classify_stability_bits(q, delta):
+    """The phase diagram's batched stability pass gives each phase the
+    Hessian classify_stability gives its fixpoint alone, in every regime."""
+    th = treefix.potts_thresholds(q, delta)
+    cells = {
+        "disordered-only": (1.0 + th.Bu) / 2,
+        "disordered-dominant": (th.Bu + th.Bo) / 2,
+        "coexistence": th.Bo,
+        "ordered-dominant": (th.Bo + th.Brc) / 2,
+        "ordered-only": 1.5 * th.Brc,
+    }
+    for regime, B in cells.items():
+        pd = potts_phase_diagram(q, delta, B)
+        assert pd.regime == regime
+        model = build_potts_matrix(q, B)
+        uniform = treefix.make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))
+        want = {True: treefix.classify_stability(model, delta, uniform).hessian_eigen}
+        maj = treefix.majority_fixpoint(q, delta, B)
+        if maj is not None:
+            want[False] = treefix.classify_stability(model, delta, maj).hessian_eigen
+        assert len(pd.local_maxima) > 0
+        for ph in pd.local_maxima + pd.dominant:
+            is_uniform = bool(np.all(ph.alpha == ph.alpha[0]))
+            assert np.array(ph.hessian_eigen).tobytes() == want[is_uniform].tobytes()
+
+
 def _phase_query_digest() -> str:
     """SHA-256 over every phase-query output on the q, delta in 3..10 grid at
     the 20 B values np.linspace(1.05, 2 Brc, 20) of each (q, delta)."""

@@ -314,6 +314,31 @@ def test_exact_kernel_detailed_balance_triangle():
         assert np.max(np.abs(pi @ P - pi)) < 1e-12
 
 
+def _loop_exact_kernel(g, q, B):
+    """One add.at per kept-edge subset, in subset order: the reference the
+    batched exact_sw_kernel must match exactly."""
+    states = all_colorings(g.n, q)
+    u, v, _ = g.loop_split
+    powers = q ** np.arange(g.n)
+    keep_p = 1.0 - 1.0 / B
+    P = np.zeros((len(states), len(states)))
+    for s, colors in enumerate(states):
+        mono = np.nonzero(colors[u] == colors[v])[0]
+        m = len(mono)
+        for mask in range(2**m):
+            kept = [mono[i] for i in range(m) if mask >> i & 1]
+            c, comp_of = components(g.n, u[kept], v[kept])
+            prob = keep_p ** len(kept) * (1.0 - keep_p) ** (m - len(kept))
+            np.add.at(P[s], states[: q**c, comp_of] @ powers, prob / q**c)
+    return P
+
+
+def test_exact_kernel_matches_per_subset_loop():
+    loops = make_graph(3, 3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 2)], strict=False)
+    for g, q, B in [(k2(), 3, 2.0), (triangle(), 3, 2.5), (loops, 2, 1.7), (pairing_sample(4, 3, seed=1), 3, 3.0)]:
+        assert exact_sw_kernel(g, q, B).tobytes() == _loop_exact_kernel(g, q, B).tobytes()
+
+
 def test_exact_kernel_guard():
     g = pairing_sample(16, 3, seed=0)
     with pytest.raises(SizeGuardError):

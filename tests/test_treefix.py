@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from potts_lab import treefix
 from potts_lab.spinsys import build_potts_matrix, interaction_matrix
 from potts_lab.treefix import (
     ATTRACTIVE,
@@ -18,6 +19,7 @@ from potts_lab.treefix import (
     ordered_root_marginal,
     potts_fixpoints,
     potts_thresholds,
+    stability_reports,
     tree_step,
     two_value_roots,
 )
@@ -118,6 +120,37 @@ def test_jacobian_rejects_non_fixpoint():
     m = build_potts_matrix(3, 2.0)
     with pytest.raises(ValueError, match="not a fixpoint"):
         jacobian_matrix(m, 3, np.array([2.0, 1.0, 1.0]))
+    # a batch fails as a whole when one of its rows is not a fixpoint
+    uniform = make_fixpoint(m, 3, np.ones(3))
+    with pytest.raises(ValueError, match="not a fixpoint"):
+        stability_reports(m, 3, [uniform, np.array([2.0, 1.0, 1.0])])
+    with pytest.raises(ValueError, match="not a fixpoint"):
+        make_fixpoint(m, 3, [2.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("q,delta,B", [(3, 3, 3.9), (5, 4, 3.0), (6, 3, 9.0), (10, 10, 2.2)])
+def test_batched_fixpoints_match_one_row_calls(q, delta, B):
+    """Each row of a batched pass gets the bits it gets alone."""
+    m = build_potts_matrix(q, B)
+    fps = potts_fixpoints(q, delta, B)
+    assert len(fps) > 1
+    for fp, rep in zip(fps, stability_reports(m, delta, fps)):
+        t, x = fp.potts_structure
+        one = make_fixpoint(m, delta, np.concatenate([np.full(t, x), np.ones(q - t)]), (t, x))
+        for a, b in [(fp.R, one.R), (fp.alpha, one.alpha), (fp.jacobian_eigen, one.jacobian_eigen)]:
+            assert a.tobytes() == b.tobytes()
+        assert (fp.stability, fp.residual) == (one.stability, one.residual)
+        assert rep.hessian_eigen.tobytes() == classify_stability(m, delta, fp).hessian_eigen.tobytes()
+
+
+def test_potts_fixpoints_order_is_by_t_then_increasing_x():
+    fps = potts_fixpoints(5, 4, 3.0)
+    structures = [fp.potts_structure for fp in fps]
+    assert structures[0] == (5, 1.0)
+    assert structures[1:] == sorted(structures[1:])
+    t1 = [x for t, x in structures if t == 1]
+    assert len(t1) == 2 and t1[0] < t1[1]
+    assert abs(t1[0] - 2.83) < 0.01 and abs(t1[1] - 8.0) < 0.01
 
 
 def test_stability_examples():
@@ -151,6 +184,28 @@ def test_middle_t_fixpoints_unstable():
                 t, x = fp.potts_structure
                 if 2 <= t <= q - 1:
                     assert fp.stability == UNSTABLE
+
+
+def test_thresholds_cache_keeps_values_and_never_caches_a_rejection():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="q >= 3 and delta >= 3"):
+            potts_thresholds(2, 3)
+        with pytest.raises(ValueError, match="q >= 3 and delta >= 3"):
+            potts_thresholds(3, 2)
+    before = potts_thresholds(5, 4)
+    assert potts_thresholds(5, 4) is before
+    potts_thresholds.cache_clear()
+    after = potts_thresholds(5, 4)
+    assert after is not before and after == before
+
+
+def test_grid_power_is_cached_read_only_and_exact():
+    for d in (2, 5, 9, 70):  # 70 overflows to inf at the top of the grid
+        yd = treefix._grid_power(d)
+        assert yd is treefix._grid_power(d)
+        assert not yd.flags.writeable
+        with np.errstate(over="ignore"):
+            assert np.array_equal(yd, treefix._Y_GRID**d)
 
 
 def test_thresholds_closed_forms():

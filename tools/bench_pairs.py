@@ -1,0 +1,142 @@
+"""Run perfbench alternately in a parent and a change checkout; write BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --label mychange \\
+        --workload phase-grid:10 --workload sw-large:5 [--seconds 45] [--seed 100]
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout with the same
+seed, and the side that runs first alternates from pair to pair, so a drift of
+the host over minutes falls on both sides alike.  Pair i of every workload uses
+seed --seed + i.  Run length defaults to BENCHMARK.json's run_seconds.
+
+The output file, written to the change checkout, records the git state of both
+checkouts (HEAD, whether the tree has uncommitted changes, and a SHA-256 over
+the files under src/ so an uncommitted tree is still identified), the numpy
+version and CPU count, every run's result line, and per workload and side the
+median and quartiles of each end-to-end metric in BENCHMARK.json, with the
+pairs the change won, lost and tied.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _git(checkout: Path, *args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def _source_state(checkout: Path) -> dict:
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        h.update(path.relative_to(checkout).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    status = _git(checkout, "status", "--porcelain")
+    return {
+        "sha": _git(checkout, "rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "src_sha256": h.hexdigest(),
+    }
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def _summary(runs: list[dict], metrics: dict) -> dict:
+    out = {}
+    for name, better in metrics.items():
+        value = {(r["pair"], r["side"]): r["result"]["metrics"][name]["value"] for r in runs}
+        sides = {}
+        for side in ("parent", "change"):
+            q1, med, q3 = statistics.quantiles(
+                [v for (_, s), v in value.items() if s == side], n=4, method="inclusive"
+            )
+            sides[side] = {"median": med, "q1": q1, "q3": q3}
+        pairs = sorted({pair for pair, _ in value})
+        sign = -1.0 if better == "lower" else 1.0
+        gains = [sign * (value[i, "change"] - value[i, "parent"]) for i in pairs]
+        out[name] = {
+            "better": better,
+            **sides,
+            "change_over_parent": sides["change"]["median"] / sides["parent"]["median"],
+            "pairs_won": sum(g > 0 for g in gains),
+            "pairs_lost": sum(g < 0 for g in gains),
+            "pairs_tied": sum(g == 0 for g in gains),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    ap.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
+    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
+    ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    bench = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = args.seconds or bench["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    plan = []
+    for spec in args.workload:
+        name, _, pairs = spec.partition(":")
+        if not pairs.isdigit() or int(pairs) < 2:
+            ap.error(f"--workload takes NAME:PAIRS with at least 2 pairs, got {spec!r}")
+        plan.append((name, int(pairs)))
+
+    numpy_version = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
+    ).stdout.strip()
+    record = {
+        "label": args.label,
+        "parent": _source_state(parent),
+        "change": _source_state(change),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpu_count": os.cpu_count(),
+        "seconds": seconds,
+        "workloads": {},
+    }
+    for name, pairs in plan:
+        runs = []
+        for i in range(pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = _run(parent if side == "parent" else change, name, seed, seconds)
+                runs.append({"pair": i, "side": side, "seed": seed, "result": result})
+                rate = result["metrics"]["work_per_s"]["value"]
+                print(f"{name} pair {i} {side}: work_per_s {rate:.6g}, failed {result['failed']}", flush=True)
+        record["workloads"][name] = {
+            "pairs": pairs,
+            "failed": {s: sum(r["result"]["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")},
+            "summary": _summary(runs, metrics),
+            "runs": runs,
+        }
+    out = change / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
