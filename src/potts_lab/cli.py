@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -235,18 +236,16 @@ def _cmd_reduce(args) -> int:
 
 
 def _parse_start(text: str):
-    if text == "disordered":
-        return "disordered"
-    if text.startswith("ordered:"):
-        return ("ordered", int(text.split(":")[1]))
-    raise ValueError("start must be 'disordered' or 'ordered:<color>'")
+    m = re.fullmatch(r"disordered|ordered:(-?\d+)", text)
+    if m is None:
+        raise ValueError(f"--start must be 'disordered' or 'ordered:<color>', got {text!r}")
+    return text if m[1] is None else ("ordered", int(m[1]))
 
 
 def _cmd_sw_run(args) -> int:
+    start = _parse_start(args.start)
     g = graphs.read_graph(args.graph)
-    trace = swsim.run_chain(
-        g, args.q, args.B, args.steps, start=_parse_start(args.start), seed=args.seed
-    )
+    trace = swsim.run_chain(g, args.q, args.B, args.steps, start=start, seed=args.seed)
     header = ["t", "phase"] + [f"c_{i}" for i in range(args.q)] + ["mono_density"]
     rows = [
         [t, int(trace.phase[t])] + list(trace.freqs[t]) + [float(trace.mono_density[t])]
@@ -261,6 +260,9 @@ def _cmd_sw_run(args) -> int:
 
 
 def _cmd_sw_exact(args) -> int:
+    cut = args.cut and re.fullmatch(r"phase:(\d+)", args.cut)
+    if args.cut is not None and not (cut and int(cut[1]) < args.q):
+        raise ValueError(f"--cut must be 'phase:<c>' with 0 <= c < {args.q}, got {args.cut!r}")
     g = graphs.read_graph(args.graph)
     P = swsim.exact_sw_kernel(g, args.q, args.B)
     pi = swsim.gibbs_distribution(g, args.q, args.B)
@@ -271,11 +273,8 @@ def _cmd_sw_exact(args) -> int:
         "detailed_balance_error": float(np.max(np.abs(flux - flux.T))),
         "stationarity_error": float(np.max(np.abs(pi @ P - pi))),
     }
-    if args.cut:
-        kind, value = args.cut.split(":")
-        if kind != "phase":
-            raise ValueError("only phase:<color> cuts are supported")
-        S = swsim.phase_cut(g, args.q, int(value))
+    if cut:
+        S = swsim.phase_cut(g, args.q, int(cut[1]))
         payload["cut"] = args.cut
         payload["conductance"] = swsim.conductance(g, args.q, args.B, S, kernel=P, pi=pi)
     _emit(_json_artifact(payload, args), args.out)

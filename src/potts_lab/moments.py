@@ -42,6 +42,7 @@ SINKHORN_MAX_SWEEPS = 100000
 NORM_RANDOM_STARTS = 40
 NORM_SEED = 7  # Philox key of the norm ascent's random starts
 PSI2_SEED = 11  # Philox key of psi2's random overlap starts
+PSI2_STARTS = 50  # random overlap starts per psi2 call
 PSI2_MAX_STEPS = 400  # accepted steps per psi2 ascent
 FIRST_MOMENT_GUARD = 5e6  # edge-lattice recursion nodes
 SECOND_MOMENT_GUARD = 1e6  # per overlap matrix
@@ -259,14 +260,14 @@ def _paired_model(model: InteractionMatrix) -> np.ndarray:
     return np.kron(model.entries, model.entries)
 
 
-def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50) -> float:
+def psi2(model: InteractionMatrix, delta: int, alpha) -> float:
     """Second-moment exponent at phase alpha: the paired-spin first moment
     maximized over overlap matrices gamma with both marginals alpha.
 
     Runs exponentiated-gradient ascent (with Sinkhorn reprojection) from the
-    tensor point alpha alpha^T, the identity coupling diag(alpha), and random
-    feasible starts.  For ferromagnetic models at dominant alpha the maximum
-    is attained at the tensor point with value 2 psi1(alpha).
+    tensor point alpha alpha^T, the identity coupling diag(alpha), and
+    PSI2_STARTS random feasible starts.  For ferromagnetic models at dominant
+    alpha the maximum is attained at the tensor point with value 2 psi1(alpha).
     """
     alpha = _check_simplex(alpha, model.q)
     q = model.q
@@ -275,7 +276,7 @@ def psi2(model: InteractionMatrix, delta: int, alpha, n_starts: int = 50) -> flo
 
     starts = [np.outer(alpha, alpha), np.diag(alpha)]
     pos = alpha > 0
-    for _ in range(n_starts):
+    for _ in range(PSI2_STARTS):
         G = rng.random((int(pos.sum()), int(pos.sum()))) + 0.1
         P = _sinkhorn_project(G, alpha[pos], alpha[pos])
         full = np.zeros((q, q))
@@ -627,16 +628,15 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
 # ---------------------------------------------------------------------------
 
 
-def small_graph_constants(model: InteractionMatrix, delta: int, fp: Fixpoint) -> SmallGraphConstants:
-    """Cycle-count constants for the variance analysis at an attractive fixpoint.
+def small_graph_constants(delta: int, fp: Fixpoint) -> SmallGraphConstants:
+    """Cycle-count constants for the variance analysis at an attractive fixpoint of degree delta.
 
     mu are the non-unit eigenvalues of the fixpoint matrix M, lam_i is the
     limiting Poisson mean (Delta-1)^i / (2i) of i-cycles, delta_i = sum_j mu_j^i,
     and the second-to-first-squared moment ratio converges to
     prod_ij (1 - (Delta-1) mu_i mu_j)^(-1/2) = exp(sum_i lam_i delta_i^2).
     """
-    rep = treefix.jacobian_matrix(model, delta, fp)
-    mu = rep.restricted_spectrum
+    mu = fp.restricted_spectrum
     if np.max(np.abs(mu)) >= 1.0 / (delta - 1) - 1e-12:
         raise ValueError("small-graph constants need a Hessian-dominant fixpoint")
     i = np.arange(1, SMALL_GRAPH_KMAX + 1)
@@ -740,7 +740,7 @@ def moment_report(
     small = None
     for ph, fp in phases:
         if ph.dominant and fp.stability == treefix.ATTRACTIVE:
-            small = small_graph_constants(model, delta, fp)
+            small = small_graph_constants(delta, fp)
             break
 
     return MomentReport(

@@ -45,6 +45,7 @@ class Fixpoint:
     R: np.ndarray
     alpha: np.ndarray
     jacobian_eigen: np.ndarray
+    restricted_spectrum: np.ndarray  # jacobian_eigen is (Delta-1) times it
     stability: str
     residual: float
     potts_structure: tuple | None = None  # (t, x) with x = R_1/R_q
@@ -58,7 +59,6 @@ class Fixpoint:
 class JacobianReport:
     matrix: np.ndarray
     restricted_spectrum: np.ndarray
-    jacobian_eigen: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,11 @@ def fixpoint_residual(model: InteractionMatrix, delta: int, R) -> float:
     return float(_residuals(model, delta, R))
 
 
+def _check_fixpoints(res: np.ndarray) -> None:
+    if (res >= FIXPOINT_RESIDUAL_TOL).any():
+        raise ValueError(f"not a fixpoint: tree-step residual {res.max():.3e}")
+
+
 def alpha_from_ratio(delta: int, R) -> np.ndarray:
     """Phase induced by a ratio vector (or each row of a stack):
     alpha_i ~ R_i^(Delta/(Delta-1))."""
@@ -114,9 +119,10 @@ def alpha_from_ratio(delta: int, R) -> np.ndarray:
     return a / a.sum(axis=-1, keepdims=True)
 
 
-def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric maps M and their restricted spectra at the k canonical
-    ratio rows of R, shape (k, q); raises unless every row is a fixpoint.
+def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The symmetric maps M, their restricted spectra and the tree-step
+    residuals at the k canonical ratio rows of R, shape (k, q); raises unless
+    every row is a fixpoint.
 
     Every product is a batched mat-vec or a stack of small matrix products,
     which run one BLAS call per row exactly as a single row would, so each
@@ -124,8 +130,7 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     over all rows (R @ B.T) would round differently.
     """
     res = _residuals(model, delta, R)
-    if (res >= FIXPOINT_RESIDUAL_TOL).any():
-        raise ValueError(f"not a fixpoint: tree-step residual {res.max():.3e}")
+    _check_fixpoints(res)
     k, q = R.shape
     alpha = R * (model.entries @ R[:, :, None])[:, :, 0]
     alpha = alpha / alpha.sum(axis=1, keepdims=True)
@@ -135,25 +140,17 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     basis = np.repeat(np.eye(q, q + 1, 1)[None], k, axis=0)
     basis[:, :, 0] = e
     Q = np.linalg.qr(basis)[0][:, :, 1:]
-    return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q)
+    return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q), res
 
 
-def _rows(model: InteractionMatrix, fps) -> np.ndarray:
-    return np.array([fp.R if isinstance(fp, Fixpoint) else canonical(model, fp) for fp in fps])
-
-
-def jacobian_matrix(model: InteractionMatrix, delta: int, fp) -> JacobianReport:
+def jacobian_matrix(model: InteractionMatrix, delta: int, fp: Fixpoint) -> JacobianReport:
     """The symmetric map M at a fixpoint, with its restricted spectrum.
 
     The restricted spectrum lives on the subspace sum_i sqrt(alpha_i) r_i = 0;
     Jacobian eigenvalues are (Delta-1) times the restricted eigenvalues.
     """
-    M, restricted = _spectra(model, delta, _rows(model, [fp]))
-    return JacobianReport(
-        matrix=M[0],
-        restricted_spectrum=restricted[0],
-        jacobian_eigen=(delta - 1) * restricted[0],
-    )
+    M, restricted, _ = _spectra(model, delta, fp.R[None])
+    return JacobianReport(matrix=M[0], restricted_spectrum=restricted[0])
 
 
 def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
@@ -164,9 +161,14 @@ def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
     ]
 
 
-def stability_reports(model: InteractionMatrix, delta: int, fps) -> list[StabilityReport]:
-    """classify_stability for each of several fixpoints, in one batched pass."""
-    _, x = _spectra(model, delta, _rows(model, fps))
+def stability_reports(model: InteractionMatrix, delta: int, fps: list[Fixpoint]) -> list[StabilityReport]:
+    """classify_stability for each of several fixpoints, from their stored
+    restricted spectra.  One batched residual check at the stored R, without
+    rescaling, rejects any fixpoint that is not a canonical fixpoint of
+    (model, delta), such as one built at another activity."""
+    R = np.array([fp.R for fp in fps])
+    _check_fixpoints(np.abs(tree_step(model, delta, R) - R).max(axis=-1))
+    x = np.array([fp.restricted_spectrum for fp in fps])
     hessian = (1.0 + x) * ((delta - 1) * x - 1.0)
     ferro = model.signature is Signature.FERROMAGNETIC
     return [
@@ -175,7 +177,7 @@ def stability_reports(model: InteractionMatrix, delta: int, fps) -> list[Stabili
     ]
 
 
-def classify_stability(model: InteractionMatrix, delta: int, fp) -> StabilityReport:
+def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> StabilityReport:
     """Stability from the restricted spectrum plus the induced Hessian eigenvalues."""
     return stability_reports(model, delta, [fp])[0]
 
@@ -185,20 +187,14 @@ def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> 
     pass; structures gives each row's potts_structure."""
     R = canonical(model, R)
     R.flags.writeable = False
-    # The spectra are taken at canonical(R), a few ulps from the stored R (see
-    # ROADMAP "Known, not yet scheduled"); the pinned outputs depend on it.
-    _, restricted = _spectra(model, delta, canonical(model, R))
+    _, restricted, residual = _spectra(model, delta, R)
     jac = (delta - 1) * restricted
     alpha = alpha_from_ratio(delta, R)
-    residual = _residuals(model, delta, R)
     if structures is None:
         structures = [None] * len(R)
-    return [
-        Fixpoint(R=row, alpha=a, jacobian_eigen=j, stability=st, residual=res, potts_structure=ps)
-        for row, a, j, st, res, ps in zip(
-            R, alpha, jac, _stabilities(jac), residual.tolist(), structures
-        )
-    ]
+    # each zipped row lists a Fixpoint's fields in declaration order
+    fields = zip(R, alpha, jac, restricted, _stabilities(jac), residual.tolist(), structures)
+    return [Fixpoint(*row) for row in fields]
 
 
 def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None) -> Fixpoint:
@@ -274,6 +270,8 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     equation and refines by bisection; grid local minima are polished by
     golden section so that near-tangent root pairs are not missed.
     """
+    if delta < 3:
+        raise ValueError("need degree delta >= 3")
     d = delta - 1
     target = B - 1.0
 

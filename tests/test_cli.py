@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -628,4 +629,44 @@ def test_gadget_rejects_negative_depth(tmp_path, capsys):
     assert run_command(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: a gadget needs delta >= 2 and nonnegative trees per side and tree depth\n"
+    assert not out.exists()
+
+
+def test_degree_below_three_is_one_error_line(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(["fixpoints", "--q", "3", "--delta", "2", "--B", "3"]) == 1
+        g = tmp_path / "cycle.graph"
+        g.write_text("4 2\n0 1\n1 2\n2 3\n0 3\n")
+        out = tmp_path / "trace.csv"
+        argv = ["sw", "run", "--graph", str(g), "--q", "3", "--B", "3", "--steps", "2", "--start", "ordered:0"]
+        assert run_command(argv + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need degree delta >= 3\n" * 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cut", ["phase:3", "phase:7", "phase:-1", "phase", "phase:", "phase:x", "color:0", ""])
+def test_sw_exact_checks_cut_before_the_kernel(tmp_path, monkeypatch, capsys, cut):
+    from potts_lab import swsim
+
+    monkeypatch.setattr(swsim, "exact_sw_kernel", lambda *a, **k: pytest.fail("kernel called"))
+    g = tmp_path / "g.graph"
+    g.write_text("8 3\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n")
+    out = tmp_path / "exact.json"
+    argv = ["sw", "exact", "--graph", str(g), "--q", "3", "--B", "2", "--cut", cut, "--out", str(out)]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == f"error: --cut must be 'phase:<c>' with 0 <= c < 3, got {cut!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start", ["ordered:", "ordered:x", "ordered", "ordered:1:2", "random"])
+def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, start):
+    from potts_lab import graphs, swsim
+
+    monkeypatch.setattr(graphs, "read_graph", lambda *a, **k: pytest.fail("graph read"))
+    monkeypatch.setattr(swsim, "run_chain", lambda *a, **k: pytest.fail("chain run"))
+    out = tmp_path / "trace.csv"
+    argv = ["sw", "run", "--graph", "unread.graph", "--q", "3", "--B", "2", "--steps", "2", "--start", start]
+    assert run_command(argv + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --start must be 'disordered' or 'ordered:<color>', got {start!r}\n"
     assert not out.exists()

@@ -24,9 +24,9 @@ from potts_lab.moments import (
 from potts_lab.spinsys import Phase, SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
 
 
-# recorded while a phase query still rebuilt its model and majority fixpoint
-# several times; doing each once must not move a single output bit
-PINNED_PHASE_QUERY_DIGEST = "0a53b7c124641613548751a95f3c25f3e782b9eabd73ccf002f31eb4807804d2"
+# recorded once each fixpoint took its spectrum at its stored R; a phase query
+# that rebuilds nothing must not move a single output bit
+PINNED_PHASE_QUERY_DIGEST = "014931dee26553bc7a80c2060a70700e581f5b386955bc3fb7899917a3e30829"
 
 
 def colorings_matrix(q=3):
@@ -121,24 +121,27 @@ def test_matrix_norm_rejects_bad_p():
         matrix_norm_p2(np.eye(2), 2.5)
 
 
-def test_psi2_equals_twice_psi1_ferro():
+def test_psi2_equals_twice_psi1_ferro(monkeypatch):
+    monkeypatch.setattr("potts_lab.moments.PSI2_STARTS", 10)
     m = build_potts_matrix(2, 2.0)
     a = np.array([0.5, 0.5])
-    assert abs(psi2(m, 3, a, n_starts=10) - 2 * psi1(m, 3, a)) < 1e-7
+    assert abs(psi2(m, 3, a) - 2 * psi1(m, 3, a)) < 1e-7
 
 
-def test_psi2_tensor_point_lower_bound():
+def test_psi2_tensor_point_lower_bound(monkeypatch):
+    monkeypatch.setattr("potts_lab.moments.PSI2_STARTS", 5)
     m = build_potts_matrix(3, 4.2)
     fp = treefix.majority_fixpoint(3, 3, 4.2)
     a = fp.alpha
-    assert psi2(m, 3, a, n_starts=5) >= 2 * psi1(m, 3, a) - 1e-9
+    assert psi2(m, 3, a) >= 2 * psi1(m, 3, a) - 1e-9
 
 
-def test_psi2_colorings_counterexample():
+def test_psi2_colorings_counterexample(monkeypatch):
+    monkeypatch.setattr("potts_lab.moments.PSI2_STARTS", 8)
     m = colorings_matrix()
     a = np.ones(3) / 3
     p1 = psi1(m, 10, a)
-    p2 = psi2(m, 10, a, n_starts=8)
+    p2 = psi2(m, 10, a)
     assert p2 >= p1 - 1e-9  # identity coupling is feasible
     assert p2 > 2 * p1 + 0.1
 
@@ -253,7 +256,7 @@ def test_dif_matches_direct_phi_difference():
 def test_small_graph_constants_ising():
     m = build_potts_matrix(2, 2.0)
     fp = treefix.make_fixpoint(m, 3, np.ones(2))
-    sg = small_graph_constants(m, 3, fp)
+    sg = small_graph_constants(3, fp)
     assert np.allclose(sg.mu, [1 / 3], atol=1e-12)
     assert np.allclose(sg.lam[:3], [1.0, 1.0, 4.0 / 3.0])
     assert abs(sg.ratio_limit - 3 / math.sqrt(7)) < 1e-12
@@ -263,7 +266,7 @@ def test_small_graph_constants_ising():
 def test_small_graph_constants_potts():
     m = build_potts_matrix(3, 2.0)
     fp = treefix.make_fixpoint(m, 3, np.ones(3))
-    sg = small_graph_constants(m, 3, fp)
+    sg = small_graph_constants(3, fp)
     assert abs(sg.ratio_limit - 64.0 / 49.0) < 1e-12  # mu = 1/4 twice
     assert abs(sg.truncated_exp - sg.ratio_limit) < 1e-10
 
@@ -272,7 +275,7 @@ def test_small_graph_rejects_non_dominant():
     m = build_potts_matrix(3, 4.5)  # uniform unstable above Brc
     fp = treefix.make_fixpoint(m, 3, np.ones(3))
     with pytest.raises(ValueError):
-        small_graph_constants(m, 3, fp)
+        small_graph_constants(3, fp)
 
 
 def test_moment_report_potts():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,23 +119,27 @@ def test_jacobian_two_value_spectrum():
 
 def test_jacobian_rejects_non_fixpoint():
     m = build_potts_matrix(3, 2.0)
-    with pytest.raises(ValueError, match="not a fixpoint"):
-        jacobian_matrix(m, 3, np.array([2.0, 1.0, 1.0]))
-    # a batch fails as a whole when one of its rows is not a fixpoint
+    # a batch fails as a whole when one of its rows is not a fixpoint of
+    # (model, delta), even a fixpoint of the same direction built at another B
     uniform = make_fixpoint(m, 3, np.ones(3))
-    with pytest.raises(ValueError, match="not a fixpoint"):
-        stability_reports(m, 3, [uniform, np.array([2.0, 1.0, 1.0])])
+    for other in (majority_fixpoint(3, 3, 4.5), make_fixpoint(build_potts_matrix(3, 4.5), 3, np.ones(3))):
+        with pytest.raises(ValueError, match="not a fixpoint"):
+            stability_reports(m, 3, [uniform, other])
     with pytest.raises(ValueError, match="not a fixpoint"):
         make_fixpoint(m, 3, [2.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("q,delta,B", [(3, 3, 3.9), (5, 4, 3.0), (6, 3, 9.0), (10, 10, 2.2)])
 def test_batched_fixpoints_match_one_row_calls(q, delta, B):
-    """Each row of a batched pass gets the bits it gets alone."""
+    """Each row of a batched pass gets the bits it gets alone, and carries
+    the spectrum a one-row pass takes at its stored R: jacobian_eigen is
+    (Delta-1) times that restricted spectrum, bit for bit."""
     m = build_potts_matrix(q, B)
     fps = potts_fixpoints(q, delta, B)
     assert len(fps) > 1
     for fp, rep in zip(fps, stability_reports(m, delta, fps)):
+        assert fp.jacobian_eigen.tobytes() == ((delta - 1) * fp.restricted_spectrum).tobytes()
+        assert jacobian_matrix(m, delta, fp).restricted_spectrum.tobytes() == fp.restricted_spectrum.tobytes()
         t, x = fp.potts_structure
         one = make_fixpoint(m, delta, np.concatenate([np.full(t, x), np.ones(q - t)]), (t, x))
         for a, b in [(fp.R, one.R), (fp.alpha, one.alpha), (fp.jacobian_eigen, one.jacobian_eigen)]:
@@ -283,6 +288,15 @@ def test_alpha_at_Bo_majority():
         th = potts_thresholds(q, 3)
         fp = majority_fixpoint(q, 3, th.Bo)
         assert abs(np.max(fp.alpha) - (q - 1) / q) < 1e-9
+
+
+def test_degree_below_three_is_rejected_before_the_root_scan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need degree delta >= 3"):
+            majority_fixpoint(3, 2, 3.0)
+        with pytest.raises(ValueError, match="need degree delta >= 3"):
+            two_value_roots(3, 2, 3.0, 1)
 
 
 def test_two_value_roots_double_root_near_Bu():
