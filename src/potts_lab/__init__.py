@@ -53,7 +53,6 @@ from .graphs import (
     pairing_sample,
     read_graph,
     reduction_constants,
-    write_graph,
 )
 from .swsim import (
     SWTrace,

@@ -83,12 +83,8 @@ def criterion_3() -> CriterionResult:
         for delta in range(3, 11):
             th = treefix.potts_thresholds(q, delta)
             for B in np.linspace(1.05, 2 * th.Brc, 20):
-                model = build_potts_matrix(q, float(B))
-                fps = treefix.potts_fixpoints(q, delta, float(B))
-                for fp, rep in zip(fps, treefix.stability_reports(model, delta, fps)):
-                    hess_neg = bool(np.all(rep.hessian_eigen < 0))
-                    if fp.attractive != hess_neg:
-                        ok = False
+                for fp in treefix.potts_fixpoints(q, delta, float(B)):
+                    ok &= fp.attractive == bool(np.all(fp.hessian_eigen < 0))
                     count += 1
     detail = f"attractive <=> Hessian-negative on {count} fixpoints"
     return _result(3, "Jacobian/Hessian equivalence", ok, detail, t0)

@@ -375,11 +375,6 @@ def graph_text(g: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_graph(g: RegularGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(graph_text(g))
-
-
 def read_graph(path) -> RegularGraph:
     """Parse the graph_text format; degrees are not checked (multigraphs,
     gadgets and reductions all load)."""

@@ -532,10 +532,10 @@ def dif_value(q: int, delta: int, B: float) -> float:
     relation into both functionals and simplifying); zero exactly at the
     coexistence activity Bo and strictly increasing in B.
     """
-    fp = treefix.majority_fixpoint(q, delta, B)
-    if fp is None:
+    x = treefix.majority_ratio(q, delta, B)
+    if x is None:
         raise ValueError("no majority fixpoint below the uniqueness threshold")
-    return _dif_of_ratio(q, delta, fp.potts_structure[1])
+    return _dif_of_ratio(q, delta, x)
 
 
 def _dif_of_ratio(q: int, delta: int, x: float) -> float:
@@ -550,16 +550,15 @@ def _dif_of_ratio(q: int, delta: int, x: float) -> float:
     )
 
 
-def _phase_from_fixpoint(model, delta, fp, rep, psi1_value=None) -> Phase:
-    """The phase at fp, given its stability report rep."""
+def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
+    """The phase at fp, with the stability and Hessian stored on it."""
     val = phi1(model, delta, fp.R) if psi1_value is None else psi1_value
-    hess_neg = bool(np.all(rep.hessian_eigen < 0))
     return Phase(
         alpha=fp.alpha,
         psi1=val,
-        hessian_eigen=tuple(rep.hessian_eigen),
-        local_max=fp.stability == treefix.ATTRACTIVE,
-        hessian_local_max=hess_neg,
+        hessian_eigen=tuple(fp.hessian_eigen),
+        local_max=fp.attractive,
+        hessian_local_max=bool(np.all(fp.hessian_eigen < 0)),
     )
 
 
@@ -588,12 +587,10 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
         raise ValueError("phase diagram covers the ferromagnetic regime B > 1")
     th = potts_thresholds(q, delta)
     model = build_potts_matrix(q, B)
-    # the uniform and (above Bu) the majority fixpoint, built and classified
-    # in one batched pass each
+    # the uniform and (above Bu) the majority fixpoint, built in one batched pass
     x = treefix.majority_ratio(q, delta, B)
     fps = treefix.two_value_fixpoints(model, delta, [(q, 1.0)] + ([] if x is None else [(1, x)]))
-    reports = treefix.stability_reports(model, delta, fps)
-    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp, rep) for fp, rep in zip(fps, reports)]
+    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp) for fp in fps]
     dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
     if x is not None:
         dif = _dif_of_ratio(q, delta, x)
@@ -720,10 +717,9 @@ def moment_report(
             psi1s.append(psi1(model, delta, fps[-1].alpha))
 
     psi1_max = max(psi1s)
-    reports = treefix.stability_reports(model, delta, fps)
     phases = [
-        (_with_dominance(_phase_from_fixpoint(model, delta, fp, rep, psi1_value=v), psi1_max), fp)
-        for fp, rep, v in zip(fps, reports, psi1s)
+        (_with_dominance(_phase_from_fixpoint(model, delta, fp, psi1_value=v), psi1_max), fp)
+        for fp, v in zip(fps, psi1s)
     ]
     dominant = [ph for ph, _ in phases if ph.dominant]
 

@@ -30,6 +30,7 @@ BISECT_TOL = 1e-13
 GOLDEN_TOL = 1e-12
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
+FIND_FIXPOINT_STARTS = 200
 
 # two_value_roots' scan grid on (1, 2^20), shared read-only by every call
 _Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
@@ -46,6 +47,7 @@ class Fixpoint:
     alpha: np.ndarray
     jacobian_eigen: np.ndarray
     restricted_spectrum: np.ndarray  # jacobian_eigen is (Delta-1) times it
+    hessian_eigen: np.ndarray  # (1 + x)((Delta-1)x - 1) for each restricted eigenvalue x
     stability: str
     residual: float
     potts_structure: tuple | None = None  # (t, x) with x = R_1/R_q
@@ -98,16 +100,13 @@ def tree_step(model: InteractionMatrix, delta: int, R) -> np.ndarray:
 
 
 def _residuals(model: InteractionMatrix, delta: int, R) -> np.ndarray:
-    R = canonical(model, R)
+    """The tree-step residual of each canonical row of R, taken as given."""
     return np.abs(tree_step(model, delta, R) - R).max(axis=-1)
 
 
-def fixpoint_residual(model: InteractionMatrix, delta: int, R) -> float:
-    return float(_residuals(model, delta, R))
-
-
 def _check_fixpoints(res: np.ndarray) -> None:
-    if (res >= FIXPOINT_RESIDUAL_TOL).any():
+    # written as "not < tol" so that a NaN residual is rejected too
+    if not (res < FIXPOINT_RESIDUAL_TOL).all():
         raise ValueError(f"not a fixpoint: tree-step residual {res.max():.3e}")
 
 
@@ -129,7 +128,9 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     row's bits do not depend on the rows stacked with it.  One matrix product
     over all rows (R @ B.T) would round differently.
     """
-    res = _residuals(model, delta, R)
+    # the stored residual is taken after one more rescaling, which moves its
+    # last bits; the pinned phase-query digest hashes them
+    res = _residuals(model, delta, canonical(model, R))
     _check_fixpoints(res)
     k, q = R.shape
     alpha = R * (model.entries @ R[:, :, None])[:, :, 0]
@@ -161,39 +162,35 @@ def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
     ]
 
 
-def stability_reports(model: InteractionMatrix, delta: int, fps: list[Fixpoint]) -> list[StabilityReport]:
-    """classify_stability for each of several fixpoints, from their stored
-    restricted spectra.  One batched residual check at the stored R, without
-    rescaling, rejects any fixpoint that is not a canonical fixpoint of
-    (model, delta), such as one built at another activity."""
-    R = np.array([fp.R for fp in fps])
-    _check_fixpoints(np.abs(tree_step(model, delta, R) - R).max(axis=-1))
-    x = np.array([fp.restricted_spectrum for fp in fps])
-    hessian = (1.0 + x) * ((delta - 1) * x - 1.0)
-    ferro = model.signature is Signature.FERROMAGNETIC
-    return [
-        StabilityReport(stability=st, hessian_eigen=h, ferro_equivalence=ferro)
-        for st, h in zip(_stabilities((delta - 1) * x), hessian)
-    ]
-
-
 def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> StabilityReport:
-    """Stability from the restricted spectrum plus the induced Hessian eigenvalues."""
-    return stability_reports(model, delta, [fp])[0]
+    """The stability and Hessian eigenvalues stored on fp, once fp is checked
+    against (model, delta).  The residual check at the stored R, without
+    rescaling, rejects a fixpoint built at another activity; the spectrum
+    check rejects one whose stored spectrum belongs to another degree (the
+    uniform fixpoint is a fixpoint at every degree)."""
+    _check_fixpoints(_residuals(model, delta, fp.R))
+    if not np.array_equal(fp.jacobian_eigen, (delta - 1) * fp.restricted_spectrum):
+        raise ValueError(f"fixpoint spectrum was not computed at degree delta = {delta}")
+    ferro = model.signature is Signature.FERROMAGNETIC
+    return StabilityReport(stability=fp.stability, hessian_eigen=fp.hessian_eigen, ferro_equivalence=ferro)
 
 
 def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
     """Fixpoints at the k ratio rows of R, shape (k, q), built in one batched
     pass; structures gives each row's potts_structure."""
-    R = canonical(model, R)
+    # a row whose quadratic form overflows a float gets a NaN residual, which
+    # _spectra rejects before it solves anything
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = canonical(model, R)
+        _, restricted, residual = _spectra(model, delta, R)
     R.flags.writeable = False
-    _, restricted, residual = _spectra(model, delta, R)
     jac = (delta - 1) * restricted
+    hessian = (1.0 + restricted) * (jac - 1.0)
     alpha = alpha_from_ratio(delta, R)
     if structures is None:
         structures = [None] * len(R)
     # each zipped row lists a Fixpoint's fields in declaration order
-    fields = zip(R, alpha, jac, restricted, _stabilities(jac), residual.tolist(), structures)
+    fields = zip(R, alpha, jac, restricted, hessian, _stabilities(jac), residual.tolist(), structures)
     return [Fixpoint(*row) for row in fields]
 
 
@@ -268,7 +265,9 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
 
     Scans a geometric grid on (1, 2^20) for sign changes of the fixpoint
     equation and refines by bisection; grid local minima are polished by
-    golden section so that near-tangent root pairs are not missed.
+    golden section so that near-tangent root pairs are not missed.  Raises
+    when the equation is still negative at the last grid point where it is
+    finite, since the largest root then lies beyond the scan.
     """
     if delta < 3:
         raise ValueError("need degree delta >= 3")
@@ -282,6 +281,8 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         gs = (_Y_GRID - 1.0) * (t * yd + q - t) / (yd - _Y_GRID) - target
         crossing = gs[:-1] * gs[1:] < 0
+    if gs[np.isfinite(gs)][-1] < 0:
+        raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
     roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
     for i in np.nonzero(crossing)[0]:
         roots.append(_bisect(g, float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
@@ -363,10 +364,13 @@ def potts_thresholds(q: int, delta: int) -> PottsThresholds:
 
     # p has a double root at 1 and dips negative just above it
     hi = 2.0
-    while p(hi) <= 0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise RuntimeError("failed to bracket the uniqueness root")
+    try:
+        while p(hi) <= 0:
+            hi *= 2.0
+            if hi > 2.0**40:
+                raise RuntimeError("failed to bracket the uniqueness root")
+    except OverflowError:
+        raise ValueError(f"the uniqueness polynomial overflows a float at delta = {delta}") from None
     rho = _bisect(p, 1.0 + 1e-6, hi)
     Bu = 1.0 + (rho - 1.0) * (rho**d + q - 1.0) / (rho**d - rho)
     return PottsThresholds(Bu=Bu, Bo=Bo, Brc=Brc)
@@ -375,10 +379,9 @@ def potts_thresholds(q: int, delta: int) -> PottsThresholds:
 def ordered_root_marginal(q: int, delta: int, B: float) -> float:
     """Probability of the dominant color at a degree-(delta-1) root in the
     ordered phase: p = x / (x + q - 1) with x the attractive majority ratio."""
-    fp = majority_fixpoint(q, delta, B)
-    if fp is None:
+    x = majority_ratio(q, delta, B)
+    if x is None:
         raise ValueError("no majority fixpoint: activity below the uniqueness threshold")
-    x = fp.potts_structure[1]
     return x / (x + q - 1.0)
 
 
@@ -409,20 +412,20 @@ def _damped_iterate(B: np.ndarray, d: int, R0) -> np.ndarray:
     return R
 
 
-def find_fixpoints(
-    model: InteractionMatrix, delta: int, n_starts: int = 200, seed: int = 0
-) -> list[Fixpoint]:
+def find_fixpoints(model: InteractionMatrix, delta: int, seed: int = 0) -> list[Fixpoint]:
     """Attractive fixpoints of a general model by damped iteration.
 
-    Runs the damped recursion from Dirichlet(1) starts, deduplicates at 1e-6
-    and orders results on that same scale, so that ulp-level differences
-    between runs cannot reorder them.  Unstable fixpoints are generally not
-    reachable this way; for Potts models use potts_fixpoints instead.
+    Runs the damped recursion from FIND_FIXPOINT_STARTS Dirichlet(1) starts,
+    keeps the ends that are fixpoints (one batched residual pass), deduplicates
+    them at 1e-6 and orders results on that same scale, so that ulp-level
+    differences between runs cannot reorder them.  Unstable fixpoints are
+    generally not reachable this way; for Potts models use potts_fixpoints
+    instead.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    starts = rng.dirichlet(np.ones(model.q), size=n_starts) + 1e-9
-    ends = [canonical(model, R) for R in _damped_iterate(model.entries, delta - 1, starts)]
-    found = [R for R in ends if fixpoint_residual(model, delta, R) < FIXPOINT_RESIDUAL_TOL]
+    starts = rng.dirichlet(np.ones(model.q), size=FIND_FIXPOINT_STARTS) + 1e-9
+    ends = canonical(model, _damped_iterate(model.entries, delta - 1, starts))
+    found = list(ends[_residuals(model, delta, ends) < FIXPOINT_RESIDUAL_TOL])
     found.sort(key=lambda r: tuple(np.round(r, 6)))
     dedup: list[np.ndarray] = []
     for R in found:

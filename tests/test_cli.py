@@ -670,3 +670,34 @@ def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, star
     assert run_command(argv + ["--csv", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --start must be 'disordered' or 'ordered:<color>', got {start!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("fixpoints --q 3 --delta 60 --B 1000", "not a fixpoint: tree-step residual nan"),
+        ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint beyond the root scan"),
+        ("phase-diagram --q 3 --delta 3 --B 1.05e6", "activity B = 1050000.0 puts a fixpoint beyond the root scan"),
+        ("thresholds --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
+        ("phase-diagram --q 3 --delta 600 --B 2", "the uniqueness polynomial overflows a float at delta = 600"),
+        ("sweep dif --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
+    ],
+)
+def test_out_of_range_inputs_are_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "artifact"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flag = "--csv" if argv.startswith("sweep") else "--out"
+        assert run_command(argv.split() + [flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_thresholds_records_the_overflowing_degree(tmp_path):
+    argv = ["sweep", "thresholds", "--q-min", "3", "--q-max", "3", "--delta-min", "512", "--delta-max", "513"]
+    rc, path = run_to_file(tmp_path, "th.csv", argv)
+    assert rc == 1
+    rows = path.read_text().splitlines()[-2:]
+    assert rows[0].startswith("3,512,1.00538") and rows[0].endswith(",ok,")
+    assert rows[1] == "3,513,nan,nan,nan,,the uniqueness polynomial overflows a float at delta = 513"

@@ -21,7 +21,6 @@ from potts_lab.graphs import (
     reduction_constants,
     reduction_edge_weights,
     sample_matching,
-    write_graph,
 )
 from potts_lab.spinsys import SizeGuardError, build_potts_matrix, interaction_matrix
 from potts_lab.treefix import potts_thresholds
@@ -369,13 +368,12 @@ def test_gadget_parameters_for():
 def test_graph_file_roundtrip(tmp_path):
     g = build_gadget(3, 1, 1, 4, seed=9)
     path = tmp_path / "g.graph"
-    write_graph(g, path)
+    path.write_text(graph_text(g))
     back = read_graph(path)
     assert back.n == g.n and back.delta == g.delta
     assert np.array_equal(back.edges, g.edges)
     assert back.roles == g.roles
-    write_graph(back, tmp_path / "h.graph")
-    assert (tmp_path / "g.graph").read_text() == (tmp_path / "h.graph").read_text()
+    assert graph_text(back) == path.read_text()
 
 
 def test_handshake_on_generated_graphs():

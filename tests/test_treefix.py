@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from potts_lab import treefix
+from potts_lab import moments, treefix
 from potts_lab.spinsys import build_potts_matrix, interaction_matrix
 from potts_lab.treefix import (
     ATTRACTIVE,
@@ -13,14 +13,12 @@ from potts_lab.treefix import (
     canonical,
     classify_stability,
     find_fixpoints,
-    fixpoint_residual,
     jacobian_matrix,
     majority_fixpoint,
     make_fixpoint,
     ordered_root_marginal,
     potts_fixpoints,
     potts_thresholds,
-    stability_reports,
     tree_step,
     two_value_roots,
 )
@@ -50,7 +48,7 @@ def test_iteration_converges_to_uniform_below_Bu():
             R = nxt
             break
         R = nxt
-    assert fixpoint_residual(m, 3, R) < 1e-12
+    assert np.max(np.abs(tree_step(m, 3, R) - R)) < 1e-12
     assert np.max(R) - np.min(R) < 1e-10
 
 
@@ -119,12 +117,15 @@ def test_jacobian_two_value_spectrum():
 
 def test_jacobian_rejects_non_fixpoint():
     m = build_potts_matrix(3, 2.0)
-    # a batch fails as a whole when one of its rows is not a fixpoint of
-    # (model, delta), even a fixpoint of the same direction built at another B
-    uniform = make_fixpoint(m, 3, np.ones(3))
+    # a fixpoint of another activity is not a fixpoint of (model, delta),
+    # even one of the same direction
     for other in (majority_fixpoint(3, 3, 4.5), make_fixpoint(build_potts_matrix(3, 4.5), 3, np.ones(3))):
         with pytest.raises(ValueError, match="not a fixpoint"):
-            stability_reports(m, 3, [uniform, other])
+            classify_stability(m, 3, other)
+    # the uniform fixpoint is a fixpoint at every degree, but its stored
+    # spectrum belongs to the degree it was built at
+    with pytest.raises(ValueError, match="not computed at degree delta = 4"):
+        classify_stability(m, 4, make_fixpoint(m, 3, np.ones(3)))
     with pytest.raises(ValueError, match="not a fixpoint"):
         make_fixpoint(m, 3, [2.0, 1.0, 1.0])
 
@@ -133,19 +134,26 @@ def test_jacobian_rejects_non_fixpoint():
 def test_batched_fixpoints_match_one_row_calls(q, delta, B):
     """Each row of a batched pass gets the bits it gets alone, and carries
     the spectrum a one-row pass takes at its stored R: jacobian_eigen is
-    (Delta-1) times that restricted spectrum, bit for bit."""
+    (Delta-1) times that restricted spectrum, bit for bit, and hessian_eigen,
+    which classify_stability returns, is (1 + x)((Delta-1)x - 1) of it."""
     m = build_potts_matrix(q, B)
     fps = potts_fixpoints(q, delta, B)
     assert len(fps) > 1
-    for fp, rep in zip(fps, stability_reports(m, delta, fps)):
+    for fp in fps:
         assert fp.jacobian_eigen.tobytes() == ((delta - 1) * fp.restricted_spectrum).tobytes()
         assert jacobian_matrix(m, delta, fp).restricted_spectrum.tobytes() == fp.restricted_spectrum.tobytes()
         t, x = fp.potts_structure
         one = make_fixpoint(m, delta, np.concatenate([np.full(t, x), np.ones(q - t)]), (t, x))
-        for a, b in [(fp.R, one.R), (fp.alpha, one.alpha), (fp.jacobian_eigen, one.jacobian_eigen)]:
+        for a, b in [
+            (fp.R, one.R),
+            (fp.alpha, one.alpha),
+            (fp.jacobian_eigen, one.jacobian_eigen),
+            (fp.hessian_eigen, one.hessian_eigen),
+            (fp.hessian_eigen, classify_stability(m, delta, fp).hessian_eigen),
+            (fp.hessian_eigen, (1.0 + fp.restricted_spectrum) * ((delta - 1) * fp.restricted_spectrum - 1.0)),
+        ]:
             assert a.tobytes() == b.tobytes()
         assert (fp.stability, fp.residual) == (one.stability, one.residual)
-        assert rep.hessian_eigen.tobytes() == classify_stability(m, delta, fp).hessian_eigen.tobytes()
 
 
 def test_potts_fixpoints_order_is_by_t_then_increasing_x():
@@ -211,6 +219,31 @@ def test_grid_power_is_cached_read_only_and_exact():
         assert not yd.flags.writeable
         with np.errstate(over="ignore"):
             assert np.array_equal(yd, treefix._Y_GRID**d)
+
+
+def test_thresholds_reject_an_overflowing_degree():
+    # the uniqueness polynomial's y^(2(Delta-1)) overflows at the bracket y = 2
+    assert potts_thresholds(3, 512).Bu > 1
+    for q in (3, 10):
+        with pytest.raises(ValueError, match="delta = 513"):
+            potts_thresholds(q, 513)
+
+
+def test_nan_residual_is_not_a_fixpoint():
+    # x = y^59 is finite but x B x overflows in canonical, so every residual is NaN
+    with pytest.raises(ValueError, match="not a fixpoint: tree-step residual nan"):
+        potts_fixpoints(3, 60, 1000.0)
+    with pytest.raises(ValueError, match="not a fixpoint"):
+        treefix._check_fixpoints(np.array([0.0, np.nan]))
+
+
+def test_root_scan_rejects_an_activity_beyond_its_grid():
+    # the majority root y ~ B - 1 passes 2^20, where the t = 1 equation is still negative
+    # at Delta = 61 the scan's powers overflow past y ~ 2^17, below that root
+    for q, delta, B in [(3, 3, 1.05e6), (10, 3, 2e6), (3, 61, 2e5)]:
+        with pytest.raises(ValueError, match="beyond the root scan"):
+            potts_fixpoints(q, delta, B)
+    assert moments.potts_phase_diagram(3, 3, 1e6).regime == "ordered-only"
 
 
 def test_thresholds_closed_forms():
@@ -308,7 +341,7 @@ def test_two_value_roots_double_root_near_Bu():
 
 def test_generic_search_finds_two_value_fixpoints():
     m = build_potts_matrix(3, 3.9)
-    fps = find_fixpoints(m, 3, n_starts=200, seed=5)
+    fps = find_fixpoints(m, 3, seed=5)
     assert fps, "damped iteration found no fixpoints"
     for fp in fps:
         vals = np.unique(np.round(fp.R / fp.R.max(), 8))
@@ -323,13 +356,14 @@ def test_generic_search_finds_two_value_fixpoints():
     assert closed <= found
 
 
-def test_generic_search_non_potts():
+def test_generic_search_non_potts(monkeypatch):
+    monkeypatch.setattr(treefix, "FIND_FIXPOINT_STARTS", 50)
     entries = np.array([[3.0, 1.0, 0.5], [1.0, 2.5, 1.0], [0.5, 1.0, 3.5]])
     m = interaction_matrix(entries)
-    fps = find_fixpoints(m, 3, n_starts=50, seed=2)
+    fps = find_fixpoints(m, 3, seed=2)
     assert fps
     for fp in fps:
-        assert fixpoint_residual(m, 3, fp.R) < 1e-10
+        assert np.max(np.abs(tree_step(m, 3, fp.R) - fp.R)) < 1e-10
 
 
 def test_generic_search_orders_fixpoints_on_the_dedup_scale():
@@ -356,7 +390,7 @@ def test_damped_iterate_rows_stop_on_their_own():
     assert np.max(np.abs(out[0] - starts[0])) < 1e-15
     for R in out:
         assert abs(R.sum() - 1.0) < 1e-14
-        assert fixpoint_residual(m, 3, R) < 1e-10
+        assert make_fixpoint(m, 3, R).residual < 1e-10
     # a row with B R = 0 is left as it is
     assert np.array_equal(_damped_iterate(np.diag([0.0, 1.0]), 2, [[1.0, 0.0]]), [[1.0, 0.0]])
 
