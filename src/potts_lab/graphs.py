@@ -63,11 +63,14 @@ def make_graph(n: int, delta: int, edges, roles=None, strict: bool = True) -> Re
         u, v = norm[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) outside vertex range")
     roles = dict(roles) if roles else {}
+    for v in roles:
+        if not 0 <= v < n:
+            raise ValueError(f"role vertex {v} outside vertex range")
     g = RegularGraph(n=n, delta=delta, edges=norm, roles=roles)
     if strict:
         deg = g.degrees()
         want = np.full(n, delta)
-        want[[v for v, r in roles.items() if 0 <= v < n and r.startswith("root")]] = delta - 1
+        want[[v for v, r in roles.items() if r.startswith("root")]] = delta - 1
         bad = np.nonzero(deg != want)[0]
         if bad.size:
             v = int(bad[0])

@@ -14,7 +14,10 @@ The module also carries the disordered/ordered expected monochromatic edge
 densities E_u and E_m and the ordered phase vector (all three from one
 majority fixpoint per call), the U/M/T configuration classes built from them,
 an exact transition kernel for tiny instances, and conductance evaluation for
-the phase cut, the states whose dominant color is a given one.
+the phase cut, the states whose dominant color is a given one.  The exact
+kernel sums subset by subset, after one `components` call labels all 2^|E|
+kept-edge subsets, within EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS
+subsets.  An activity that is not a finite B >= 1 is rejected before any work.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .graphs import graph_rng as chain_rng  # chains draw from the same Philox f
 from .spinsys import SizeGuardError, build_potts_matrix
 
 EXACT_KERNEL_GUARD = 20000
+EXACT_KERNEL_SUBSETS = 2**20
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,11 @@ def components(n: int, a, b):
 
 
 def _check_activity(B) -> None:
-    """Swendsen-Wang needs a ferromagnetic activity B >= 1 (NaN fails too)."""
+    """Swendsen-Wang needs a finite ferromagnetic activity B >= 1 (NaN fails too)."""
     if not B >= 1:
         raise ValueError(f"Swendsen-Wang needs B >= 1, got {B}")
+    if B == float("inf"):
+        raise ValueError(f"Swendsen-Wang needs a finite B, got {B}")
 
 
 def _step_arrays(mono, u, v, n, q, B, rng):
@@ -226,6 +232,8 @@ def run_chain(
         raise ValueError("need q >= 2 spins")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if g.n == 0:
+        raise ValueError("Swendsen-Wang chains need at least one vertex")
     rng = chain_rng(seed)
     colors = initial_state(g, q, B, start, rng)
     u, v, loops = g.loop_split
@@ -249,45 +257,40 @@ def run_chain(
 
 
 def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
-    """The full transition matrix over q^n states, by summing over all subsets
-    of kept monochromatic edges and all component recolorings."""
+    """The full transition matrix over q^n states, by the Edwards-Sokal sum
+    over kept-edge subsets A: P(s, t) adds p^|A| (1-p)^(m(s)-|A|) / q^c(A)
+    for each subset A of the non-loop edges monochromatic in both s and t,
+    with p = 1 - 1/B, m(s) the non-loop monochromatic count of s and c(A)
+    the component count of A.  Subsets go in increasing bitmask order."""
     _check_activity(B)
     n = g.n
     if q**n > EXACT_KERNEL_GUARD:
         raise SizeGuardError(f"{q}^{n} states exceed the exact-kernel guard")
-    states = all_colorings(n, q)
-    n_states = len(states)
     u, v, _ = g.loop_split
+    E = len(u)
+    if 2**E > EXACT_KERNEL_SUBSETS:
+        raise SizeGuardError(f"2^{E} kept-edge subsets exceed the exact-kernel guard")
+    states = all_colorings(n, q)
     powers = q ** np.arange(n)
+    m = np.count_nonzero(states[:, u] == states[:, v], axis=1)
     keep_p = 1.0 - 1.0 / B
-    P = np.zeros((n_states, n_states))
-    for s in range(n_states):
-        colors = states[s]
-        mono = np.nonzero(colors[u] == colors[v])[0]
-        m = len(mono)
-        # copy r of the graph keeps the edges of subset r; one components
-        # call labels all 2^m copies, each numbered from its first vertex
-        copy, k = np.nonzero((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
-        _, labels = components(2**m * n, u[mono[k]] + copy * n, v[mono[k]] + copy * n)
-        labels = labels.reshape(2**m, n)
-        labels = labels - labels[:, :1]
-        c = labels.max(axis=1, initial=-1) + 1
-        size = q**c
-        first = np.cumsum(size) - size
-        # copy r recolors its c components in q^c ways, the first q^c states:
-        # coloring j gives vertex i the color states[j, labels[r, i]], so its
-        # index is sum_k states[j, k] * W[r, k], W[r, k] = sum of q^i over the
-        # vertices i of component k; copies with equal c go in one product
-        W = (labels[:, None, :] == np.arange(n)[:, None]) @ powers
-        targets = np.empty(size.sum(), dtype=np.int64)
-        for cc in np.unique(c):
-            rows = np.nonzero(c == cc)[0]
-            targets[first[rows, None] + np.arange(q**cc)] = W[rows, :cc] @ states[: q**cc, :cc].T
-        prob = np.array([keep_p**i * (1.0 - keep_p) ** (m - i) for i in range(m + 1)])
-        weights = np.repeat(prob[np.bincount(copy, minlength=2**m)] / size, size)
-        # add.at adds in index order, so each entry of P sums its terms in
-        # copy order, as one call per copy would
-        np.add.at(P[s], targets, weights)
+    prob = np.zeros((E + 1, E + 1))
+    for mm in range(E + 1):
+        prob[mm, : mm + 1] = [keep_p**i * (1.0 - keep_p) ** (mm - i) for i in range(mm + 1)]
+    # copy r of the graph keeps the edges of subset r; one components call
+    # labels all 2^E copies, each numbered from its first vertex
+    copy, k = np.nonzero((np.arange(2**E)[:, None] >> np.arange(E)) & 1)
+    _, labels = components(2**E * n, u[k] + copy * n, v[k] + copy * n)
+    labels = labels.reshape(2**E, n)
+    labels = labels - labels[:, :1]
+    sizes = (q ** (labels.max(axis=1, initial=-1) + 1)).tolist()
+    kept = np.bincount(copy, minlength=2**E).tolist()
+    P = np.zeros((len(states), len(states)))
+    for label, size, a in zip(labels, sizes, kept):
+        # the states that keep a subset are its q^c recolorings: coloring j
+        # gives vertex i the color states[j, label[i]]
+        S = states[:size, label] @ powers
+        P[np.ix_(S, S)] += (prob[m[S], a] / size)[:, None]
     return P
 
 

@@ -210,6 +210,48 @@ def test_sw_commands_reject_activity_below_one(tmp_path, capsys, B):
     assert not out.exists()
 
 
+def test_sw_commands_reject_infinite_activity(tmp_path, capsys):
+    g = tmp_path / "tri.graph"
+    g.write_text("3 2\n0 1\n1 2\n0 2\n")
+    out = tmp_path / "out"
+    base = ["--graph", str(g), "--q", "2", "--B", "inf"]
+    assert run_command(["sw", "run", *base, "--steps", "5", "--csv", str(out)]) == 1
+    assert run_command(["sw", "exact", *base, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Swendsen-Wang needs a finite B, got inf"] * 2
+    assert not out.exists()
+
+
+def test_sw_exact_guards_the_subset_count(tmp_path, capsys):
+    g = tmp_path / "parallel.graph"
+    g.write_text("2 40\n" + "0 1\n" * 40)
+    out = tmp_path / "kernel.json"
+    assert run_command(["sw", "exact", "--graph", str(g), "--q", "2", "--B", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "guard violation: 2^40 kept-edge subsets exceed the exact-kernel guard\n"
+    assert not out.exists()
+
+
+def test_sw_on_zero_vertices(tmp_path, capsys):
+    g = tmp_path / "empty.graph"
+    g.write_text("0 3\n")
+    out = tmp_path / "out"
+    base = ["sw", "run", "--graph", str(g), "--q", "3", "--B", "2", "--steps", "2"]
+    assert run_command(base + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Swendsen-Wang chains need at least one vertex\n"
+    assert not out.exists()
+    assert run_command(["sw", "exact", "--graph", str(g), "--q", "3", "--B", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == 1
+
+
+def test_graph_file_rejects_role_vertex_outside_range(tmp_path, capsys):
+    g = tmp_path / "c4.graph"
+    g.write_text("4 2\n# role 99 rootPlus\n0 1\n1 2\n2 3\n0 3\n")
+    out = tmp_path / "cycles.json"
+    assert run_command(["graph", "cycles", "--graph", str(g), "--kmax", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: role vertex 99 outside vertex range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("color", ["9", "-1"])
 def test_sw_run_rejects_ordered_color_out_of_range(tmp_path, capsys, color):
     g = tmp_path / "g.graph"

@@ -57,6 +57,10 @@ def test_make_graph_rejects_bad_edges_and_degrees():
     with pytest.raises(ValueError, match="vertex 2 has degree 1, expected 2"):
         make_graph(3, 2, [(0, 1), (1, 2)], roles={0: "rootPlus"})
     make_graph(3, 2, [(0, 1), (1, 2)], roles={0: "rootPlus", 2: "rootMinus"})
+    for v in (3, -1):
+        for strict in (True, False):
+            with pytest.raises(ValueError, match=f"role vertex {v} outside vertex range"):
+                make_graph(3, 2, [(0, 1), (1, 2), (0, 2)], roles={v: "rootPlus"}, strict=strict)
 
 
 def test_single_vertex_forced_loop():

@@ -335,14 +335,63 @@ def _loop_exact_kernel(g, q, B):
 
 def test_exact_kernel_matches_per_subset_loop():
     loops = make_graph(3, 3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 2)], strict=False)
-    for g, q, B in [(k2(), 3, 2.0), (triangle(), 3, 2.5), (loops, 2, 1.7), (pairing_sample(4, 3, seed=1), 3, 3.0)]:
+    cases = [(k2(), 3, 2.0), (triangle(), 3, 2.5), (loops, 2, 1.7), (pairing_sample(4, 3, seed=1), 3, 3.0)]
+    cases += [(pairing_sample(6, 3, seed=0), 3, 2.0), (loops, 3, 1.0), (make_graph(0, 3, [], strict=False), 3, 2.0)]
+    for g, q, B in cases:
         assert exact_sw_kernel(g, q, B).tobytes() == _loop_exact_kernel(g, q, B).tobytes()
 
 
-def test_exact_kernel_guard():
+def test_exact_kernel_labels_all_subsets_in_one_components_call(monkeypatch):
+    from potts_lab import swsim
+
+    graphs = [k2(), triangle(), pairing_sample(6, 3, seed=0), make_graph(0, 3, [], strict=False)]
+    expect = [exact_sw_kernel(g, 3, 2.0) for g in graphs]
+    calls = []
+    real = swsim.components
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(swsim, "components", counted)
+    for g, want in zip(graphs, expect):
+        calls.clear()
+        assert exact_sw_kernel(g, 3, 2.0).tobytes() == want.tobytes()
+        assert len(calls) == 1
+
+
+def test_exact_kernel_guard(monkeypatch):
+    from potts_lab import swsim
+
     g = pairing_sample(16, 3, seed=0)
     with pytest.raises(SizeGuardError):
         exact_sw_kernel(g, 3, 2.0)
+    # 40 parallel edges on 2 vertices: 4 states but 2^40 kept-edge subsets
+    with pytest.raises(SizeGuardError, match=r"2\^40 kept-edge subsets"):
+        exact_sw_kernel(make_graph(2, 40, [(0, 1)] * 40, strict=False), 2, 2.0)
+    # the bound counts non-loop edges only, and 2^E equal to it still runs
+    monkeypatch.setattr(swsim, "EXACT_KERNEL_SUBSETS", 2**3)
+    g = make_graph(2, 5, [(0, 0), (0, 1), (0, 1), (0, 1), (1, 1)], strict=False)
+    assert exact_sw_kernel(g, 2, 2.0).tobytes() == _loop_exact_kernel(g, 2, 2.0).tobytes()
+    with pytest.raises(SizeGuardError, match=r"2\^4 kept-edge subsets"):
+        exact_sw_kernel(make_graph(2, 4, [(0, 1)] * 4, strict=False), 2, 2.0)
+
+
+def test_sw_rejects_infinite_activity_before_drawing():
+    g = k2()
+    rng = chain_rng(0)
+    with pytest.raises(ValueError, match="needs a finite B, got inf"):
+        sw_step(g, 2, float("inf"), np.array([0, 0]), rng)
+    assert rng.random() == chain_rng(0).random()
+    with pytest.raises(ValueError, match="needs a finite B, got inf"):
+        run_chain(g, 2, float("inf"), steps=3)
+    with pytest.raises(ValueError, match="needs a finite B, got inf"):
+        exact_sw_kernel(g, 2, float("inf"))
+
+
+def test_run_chain_rejects_zero_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        run_chain(make_graph(0, 3, [], strict=False), 3, 2.0, steps=3)
 
 
 def test_conductance_uniform_kernel():
