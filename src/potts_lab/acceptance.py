@@ -209,10 +209,7 @@ def criterion_8() -> CriterionResult:
             for B in (1.0, 2.0, 3.7):
                 P = swsim.exact_sw_kernel(g, q, B)
                 pi = swsim.gibbs_distribution(g, q, B)
-                row = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-                flux = pi[:, None] * P
-                db = float(np.max(np.abs(flux - flux.T)))
-                st = float(np.max(np.abs(pi @ P - pi)))
+                row, db, st = swsim.kernel_errors(P, pi)
                 worst_row, worst_db, worst_pi = (
                     max(worst_row, row),
                     max(worst_db, db),

@@ -20,6 +20,9 @@ from .spinsys import InteractionMatrix, SizeGuardError
 
 BRUTE_GIBBS_GUARD = 2_000_000
 ENUMERATE_POINTS_GUARD = 16
+# non-backtracking walks, n * delta * (delta - 1)^(L - 1) for L = min(kmax, n),
+# that count_cycles may grow
+CYCLE_WALK_GUARD = 2**24
 GADGET_DEPTH_EXPONENT = 1 / 16  # psi: tree depth psi * log_(delta-1) n
 
 
@@ -141,10 +144,12 @@ def _neighbor_table(g: RegularGraph) -> np.ndarray:
 def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
     """X[k-1] = number of k-cycles, counted once per cyclic subgraph.
 
-    X1 counts self-loops and X2 unordered pairs of parallel edges; for k >= 3
-    closed walks over the point-level neighbor table are anchored at their
-    minimum vertex and de-duplicated by direction, which multiplies parallel
-    edge multiplicities automatically.
+    X1 counts self-loops and X2 unordered pairs of parallel edges, found in
+    the canonical edge order.  For k >= 3 walks over the point-level neighbor
+    table are anchored at their minimum vertex, each held as one 1-D array per
+    position, and each k-cycle closes twice (once per direction), which
+    multiplies parallel edge multiplicities automatically.  The walk count is
+    bounded by CYCLE_WALK_GUARD before any walk is grown.
     """
     if not 1 <= kmax <= 12:
         raise ValueError("cycle counting supported for 1 <= kmax <= 12")
@@ -152,28 +157,34 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
     u, v, loops = g.loop_split
     X[0] = loops
     if kmax >= 2:
-        _, mult = np.unique(np.column_stack((u, v)), axis=0, return_counts=True)
-        X[1] = np.sum(mult * (mult - 1) // 2)
+        # equal edges are adjacent, so edge i has i - (first index of its key)
+        # earlier copies
+        key = u * g.n + v
+        X[1] = np.sum(np.arange(key.size) - np.searchsorted(key, key))
     if kmax < 3:
         return X
     if np.any(g.degrees() != g.delta):
         raise ValueError("cycle counting requires a fully delta-regular graph")
+    # a walk visits distinct vertices, so none is longer than n
+    longest = min(kmax, g.n)
+    walks = g.n * g.delta * (g.delta - 1) ** max(longest - 1, 0)
+    if walks > CYCLE_WALK_GUARD:
+        raise SizeGuardError(f"{walks} walks of length {longest} exceed the cycle-walk guard")
     nbr = _neighbor_table(g)
-    # paths hold walks (v0, ..., vL) with v0 minimal and intermediates distinct
-    paths = np.arange(g.n, dtype=np.int64)[:, None]
+    # walk[i] is vertex i of each walk: walk[0] is its minimum, the rest are
+    # distinct; row r of ext holds the delta ways to extend walk r
+    walk = [np.arange(g.n)]
     for length in range(1, kmax + 1):
-        ext = nbr[paths[:, -1]].reshape(-1)
-        grown = np.repeat(paths, g.delta, axis=0)
-        cand = np.concatenate([grown, ext[:, None]], axis=1)
+        ext = nbr[walk[-1]]
         if length >= 3:
-            # each cycle closes exactly twice: once per direction
-            X[length - 1] = float(np.count_nonzero(cand[:, -1] == cand[:, 0])) / 2.0
-        keep = cand[:, -1] > cand[:, 0]
-        for col in range(1, cand.shape[1] - 1):
-            keep &= cand[:, -1] != cand[:, col]
-        paths = cand[keep]
-        if len(paths) == 0:
+            X[length - 1] = np.count_nonzero(ext == walk[0][:, None]) / 2.0
+        if length == kmax:  # only the closures are read at the last length
             break
+        keep = ext > walk[0][:, None]
+        for c in walk[1:]:
+            keep &= ext != c[:, None]
+        rows = keep.nonzero()[0]
+        walk = [c[rows] for c in walk] + [ext[keep]]
     return X
 
 

@@ -699,6 +699,11 @@ def moment_report(
     moment maxima, the induced-norm cross-check and (at the dominant attractive
     fixpoint) the small-subgraph constants."""
     fps = all_fixpoints(model, delta, seed=seed)
+    if not fps:
+        raise ValueError(
+            f"no tree fixpoint found for the q = {model.q} model at delta = {delta}: all "
+            f"{treefix.FIND_FIXPOINT_STARTS} damped-iteration ends failed the residual check"
+        )
     psi1s = [psi1(model, delta, fp.alpha) for fp in fps]
 
     # safety net: a coarse scan of the ratio functional must not beat the

@@ -94,6 +94,8 @@ def interaction_matrix(entries) -> InteractionMatrix:
         raise ValueError("need q >= 2 spins")
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the supported maximum {MAX_Q}")
+    if not np.isfinite(entries).all():
+        raise ValueError("interaction matrix entries must be finite")
     if not np.allclose(entries, entries.T, rtol=0.0, atol=1e-12):
         raise ValueError("interaction matrix must be symmetric")
     if np.any(entries < 0):
@@ -170,15 +172,36 @@ def ferro_alignment_check(model: InteractionMatrix, z1, z2) -> bool:
     return lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _json_number(spec: dict, key: str, kind, where: str):
+    """spec[key] converted by kind, or a ValueError that names the key."""
+    if key not in spec:
+        raise ValueError(f"{where} needs {key!r}")
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} of {where} must be a number, got {spec[key]!r}") from None
+
+
 def model_from_json(obj) -> InteractionMatrix:
-    """Build a model from {"q", "entries"} or the {"potts": {"q", "B"}} shorthand."""
+    """Build a model from {"q", "entries"} or the {"potts": {"q", "B"}} shorthand.
+    A missing or malformed part raises a ValueError that names it."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model file must hold a JSON object, got {type(obj).__name__}")
     if "potts" in obj:
         spec = obj["potts"]
-        return build_potts_matrix(int(spec["q"]), float(spec["B"]))
-    entries = np.array(obj["entries"], dtype=float)
-    if "q" in obj and int(obj["q"]) != entries.shape[0]:
+        where = "the 'potts' shorthand"
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be an object with 'q' and 'B'")
+        return build_potts_matrix(_json_number(spec, "q", int, where), _json_number(spec, "B", float, where))
+    if "entries" not in obj:
+        raise ValueError("a model needs 'entries' or the 'potts' shorthand")
+    try:
+        entries = np.array(obj["entries"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("model 'entries' must be a square array of numbers") from None
+    if "q" in obj and entries.shape[:1] != (_json_number(obj, "q", int, "the model"),):
         raise ValueError("declared q does not match the entries shape")
     return interaction_matrix(entries)
 

@@ -13,11 +13,12 @@ contracting each level to the trees that still share a kept edge.
 The module also carries the disordered/ordered expected monochromatic edge
 densities E_u and E_m and the ordered phase vector (all three from one
 majority fixpoint per call), the U/M/T configuration classes built from them,
-an exact transition kernel for tiny instances, and conductance evaluation for
-the phase cut, the states whose dominant color is a given one.  The exact
-kernel sums subset by subset, after one `components` call labels all 2^|E|
-kept-edge subsets, within EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS
-subsets.  An activity that is not a finite B >= 1 is rejected before any work.
+an exact transition kernel for tiny instances with its row-blocked error
+check, and conductance evaluation for the phase cut, the states whose
+dominant color is a given one.  The exact kernel sums subset by subset, after
+one `components` call labels all 2^|E| kept-edge subsets, within
+EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS subsets.  An activity that
+is not a finite B >= 1 is rejected before any work.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .spinsys import SizeGuardError, build_potts_matrix
 
 EXACT_KERNEL_GUARD = 20000
 EXACT_KERNEL_SUBSETS = 2**20
+KERNEL_CHECK_ROWS = 256  # rows per block of the detailed-balance check
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,23 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
 def gibbs_distribution(g: RegularGraph, q: int, B: float) -> np.ndarray:
     oracle = brute_gibbs(g, build_potts_matrix(q, B))
     return oracle.probabilities()
+
+
+def kernel_errors(P: np.ndarray, pi: np.ndarray) -> tuple[float, float, float]:
+    """(row-sum, detailed-balance, stationarity) errors of the kernel P with
+    respect to pi: the largest |sum_j P_ij - 1|, |pi_i P_ij - pi_j P_ji| and
+    |(pi P)_j - pi_j|.  The balance error is taken KERNEL_CHECK_ROWS rows at a
+    time, so that no temporary is the size of P."""
+    k = KERNEL_CHECK_ROWS
+    balance = [
+        np.max(np.abs(pi[i : i + k, None] * P[i : i + k] - (pi[:, None] * P[:, i : i + k]).T))
+        for i in range(0, len(P), k)
+    ]
+    return (
+        float(np.max(np.abs(P.sum(axis=1) - 1.0))),
+        float(np.max(balance)),
+        float(np.max(np.abs(pi @ P - pi))),
+    )
 
 
 def conductance(g: RegularGraph, q: int, B: float, S, kernel=None, pi=None) -> float:

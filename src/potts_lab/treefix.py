@@ -31,6 +31,8 @@ GOLDEN_TOL = 1e-12
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
 FIND_FIXPOINT_STARTS = 200
+# floating-point states of canonicalising a row whose quadratic form is zero or overflows
+_UNSCALABLE = dict(divide="ignore", over="ignore", invalid="ignore")
 
 # two_value_roots' scan grid on (1, 2^20), shared read-only by every call
 _Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
@@ -178,9 +180,9 @@ def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> St
 def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
     """Fixpoints at the k ratio rows of R, shape (k, q), built in one batched
     pass; structures gives each row's potts_structure."""
-    # a row whose quadratic form overflows a float gets a NaN residual, which
-    # _spectra rejects before it solves anything
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a row whose quadratic form is zero or overflows a float gets a NaN or
+    # infinite residual, which _spectra rejects before it solves anything
+    with np.errstate(**_UNSCALABLE):
         R = canonical(model, R)
         _, restricted, residual = _spectra(model, delta, R)
     R.flags.writeable = False
@@ -424,8 +426,11 @@ def find_fixpoints(model: InteractionMatrix, delta: int, seed: int = 0) -> list[
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = rng.dirichlet(np.ones(model.q), size=FIND_FIXPOINT_STARTS) + 1e-9
-    ends = canonical(model, _damped_iterate(model.entries, delta - 1, starts))
-    found = list(ends[_residuals(model, delta, ends) < FIXPOINT_RESIDUAL_TOL])
+    ends = _damped_iterate(model.entries, delta - 1, starts)
+    # an end that cannot be canonicalised fails the residual check
+    with np.errstate(**_UNSCALABLE):
+        ends = canonical(model, ends)
+        found = list(ends[_residuals(model, delta, ends) < FIXPOINT_RESIDUAL_TOL])
     found.sort(key=lambda r: tuple(np.round(r, 6)))
     dedup: list[np.ndarray] = []
     for R in found:

@@ -638,6 +638,46 @@ def test_moments_checks_exact_n_before_any_psi_work(monkeypatch, capsys):
     assert calls == []
 
 
+def test_graph_cycles_guards_the_walk_count(tmp_path, capsys, monkeypatch):
+    from potts_lab import graphs
+
+    g = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "8", "--delta", "3", "--seed", "5", "--out", str(g)]) == 0
+    monkeypatch.setattr(graphs, "CYCLE_WALK_GUARD", 8 * 3 * 2**3)
+    out = tmp_path / "c.json"
+    assert run_command(["graph", "cycles", "--graph", str(g), "--kmax", "4", "--out", str(out)]) == 0
+    out.unlink()
+    assert run_command(["graph", "cycles", "--graph", str(g), "--kmax", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "guard violation: 384 walks of length 5 exceed the cycle-walk guard\n"
+    assert not out.exists()
+
+
+def test_moments_model_files_fail_with_one_error_line(tmp_path, capsys):
+    cases = [
+        ("[1, 2]", "a model file must hold a JSON object, got list"),
+        ('{"q": 3}', "a model needs 'entries' or the 'potts' shorthand"),
+        ('{"potts": {"q": 3}}', "the 'potts' shorthand needs 'B'"),
+        ('{"entries": [[1, Infinity], [Infinity, 1]]}', "interaction matrix entries must be finite"),
+        ('{"entries": [[1, NaN], [NaN, 1]]}', "interaction matrix entries must be finite"),
+        ('{"entries": [[1, 2], [3]]}', "model 'entries' must be a square array of numbers"),
+        (
+            '{"q": 2, "entries": [[0, 0], [0, 0]]}',
+            "no tree fixpoint found for the q = 2 model at delta = 3: "
+            "all 200 damped-iteration ends failed the residual check",
+        ),
+    ]
+    for i, (text, message) in enumerate(cases):
+        model = tmp_path / f"model{i}.json"
+        model.write_text(text)
+        out = tmp_path / f"out{i}.csv"
+        argv = ["moments", "--model", str(model), "--delta", "3", "--no-psi2", "--csv", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(argv) == 1, text
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1"])
 def test_graph_cycles_rejects_kmax_below_one(tmp_path, capsys, kmax):
     g = tmp_path / "g.graph"

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from potts_lab import moments
+from potts_lab import graphs, moments
 from potts_lab.graphs import (
     brute_gibbs,
     build_gadget,
@@ -126,12 +126,42 @@ def test_count_cycles_examples():
     assert np.array_equal(count_cycles(de, 3), [0, 1, 0])
     loop = make_graph(1, 2, [(0, 0)])
     assert count_cycles(loop, 2)[0] == 1
+    for kmax in (1, 2, 4):
+        assert np.array_equal(count_cycles(make_graph(0, 3, []), kmax), np.zeros(kmax))
 
 
 def test_count_cycles_against_reference():
-    for seed in range(25):
-        g = pairing_sample(6, 3, seed=seed)
-        assert np.array_equal(count_cycles(g, 5), _reference_cycles(g, 5))
+    with_loop = with_parallel_pair = 0
+    for delta, n in ((3, 6), (3, 8), (4, 5), (4, 6), (5, 4), (5, 6)):
+        for seed in range(10):
+            g = pairing_sample(n, delta, seed=seed)
+            ref = _reference_cycles(g, 6)
+            with_loop += ref[0] > 0
+            with_parallel_pair += ref[1] > 0
+            for kmax in range(1, 7):
+                assert np.array_equal(count_cycles(g, kmax), ref[:kmax]), (delta, n, seed, kmax)
+    assert with_loop >= 10 and with_parallel_pair >= 10
+
+
+def test_count_cycles_walk_guard(monkeypatch):
+    g = pairing_sample(2000, 3, seed=0)
+    # the default bound admits every length at n = 2000, delta = 3
+    assert count_cycles(g, 12).shape == (12,)
+    k33 = make_graph(6, 3, [(a, b) for a in range(3) for b in range(3, 6)])
+    k4 = make_graph(4, 3, list(combinations(range(4), 2)))
+    monkeypatch.setattr(graphs, "CYCLE_WALK_GUARD", 6 * 3 * 2**3)
+    assert np.array_equal(count_cycles(k33, 4), [0, 0, 0, 9])
+    # no walk is longer than n, so K4 is bounded by its length-4 walks
+    assert np.array_equal(count_cycles(k4, 12), [0, 0, 4, 3] + [0] * 8)
+
+    def no_walks(g):
+        raise AssertionError("the walk stage started")
+
+    monkeypatch.setattr(graphs, "_neighbor_table", no_walks)
+    with pytest.raises(SizeGuardError, match=r"^288 walks of length 5 exceed the cycle-walk guard$"):
+        count_cycles(k33, 5)
+    # lengths 1 and 2 grow no walks
+    assert np.array_equal(count_cycles(k33, 2), [0, 0])
 
 
 def test_count_cycles_guard():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,3 +420,16 @@ def _phase_query_digest() -> str:
 
 def test_phase_queries_match_pinned_digest():
     assert _phase_query_digest() == PINNED_PHASE_QUERY_DIGEST
+
+
+def test_moment_report_says_when_no_fixpoint_is_found():
+    zero = interaction_matrix(np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert treefix.find_fixpoints(zero, 3) == []
+        with pytest.raises(ValueError) as info:
+            moment_report(zero, 3, compute_psi2=False)
+    assert str(info.value) == (
+        "no tree fixpoint found for the q = 2 model at delta = 3: "
+        f"all {treefix.FIND_FIXPOINT_STARTS} damped-iteration ends failed the residual check"
+    )

@@ -84,6 +84,10 @@ def test_classify_rejects_bad_input():
         interaction_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         interaction_matrix(np.array([[1.0, -0.1], [-0.1, 1.0]]))
+    # asymmetric too, but the non-finite entry is what gets reported
+    for bad in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match=r"^interaction matrix entries must be finite$"):
+            interaction_matrix([[1.0, bad], [2.0, 1.0]])
     # identity is reducible, hence not ergodic
     ident = interaction_matrix(np.eye(2))
     assert not ident.ergodic
@@ -223,6 +227,30 @@ def test_model_json_roundtrip():
     assert short.q == 4 and short.entries[0, 0] == 2.5
     with pytest.raises(ValueError):
         model_from_json({"q": 3, "entries": [[1.0, 2.0], [2.0, 1.0]]})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2], "a model file must hold a JSON object, got list"),
+        ({"q": 3}, "a model needs 'entries' or the 'potts' shorthand"),
+        ({"potts": {"q": 3}}, "the 'potts' shorthand needs 'B'"),
+        ({"potts": {"B": 2}}, "the 'potts' shorthand needs 'q'"),
+        ({"potts": [3, 2]}, "the 'potts' shorthand must be an object with 'q' and 'B'"),
+        ({"potts": {"q": None, "B": 2}}, "'q' of the 'potts' shorthand must be a number, got None"),
+        ({"q": "three", "entries": [[1, 1], [1, 1]]}, "'q' of the model must be a number, got 'three'"),
+        ({"q": 3, "entries": 3}, "declared q does not match the entries shape"),
+        ({"entries": [[1, 2], [3]]}, "model 'entries' must be a square array of numbers"),
+        ({"entries": [[1, {}], [1, 1]]}, "model 'entries' must be a square array of numbers"),
+        ({"entries": [[1, float("inf")], [float("inf"), 1]]}, "interaction matrix entries must be finite"),
+        ({"entries": [[1, float("nan")], [float("nan"), 1]]}, "interaction matrix entries must be finite"),
+        ("[[1, 0], [0, 1]]", "a model file must hold a JSON object, got list"),
+    ],
+)
+def test_model_json_names_the_bad_part(obj, message):
+    with pytest.raises(ValueError) as info:
+        model_from_json(obj)
+    assert str(info.value) == message
 
 
 def test_q_guard():

@@ -15,6 +15,7 @@ from potts_lab.swsim import (
     expected_mono,
     gibbs_distribution,
     initial_state,
+    kernel_errors,
     mono_edge_count,
     ordered_phase_vector,
     phase_cut,
@@ -312,6 +313,26 @@ def test_exact_kernel_detailed_balance_triangle():
         flux = pi[:, None] * P
         assert np.max(np.abs(flux - flux.T)) < 1e-12
         assert np.max(np.abs(pi @ P - pi)) < 1e-12
+
+
+def test_kernel_errors_match_the_full_matrix_formulas(monkeypatch):
+    from potts_lab import swsim
+
+    for g, q, B in [(triangle(), 3, 2.5), (pairing_sample(6, 3, seed=0), 3, 1.7), (make_graph(0, 3, []), 2, 2.0)]:
+        P = exact_sw_kernel(g, q, B)
+        pi = gibbs_distribution(g, q, B)
+        flux = pi[:, None] * P
+        full = (
+            float(np.max(np.abs(P.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(flux - flux.T))),
+            float(np.max(np.abs(pi @ P - pi))),
+        )
+        # blocks of one row, of a row count that does not divide the states, and of all rows
+        for rows in (1, 7, swsim.KERNEL_CHECK_ROWS):
+            monkeypatch.setattr(swsim, "KERNEL_CHECK_ROWS", rows)
+            assert kernel_errors(P, pi) == full
+    P = np.array([[0.5, 0.5], [0.25, 0.75]])
+    assert kernel_errors(P, np.array([0.5, 0.5])) == (0.0, 0.125, 0.125)
 
 
 def _loop_exact_kernel(g, q, B):
