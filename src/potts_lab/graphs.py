@@ -24,13 +24,15 @@ ENUMERATE_POINTS_GUARD = 16
 # that count_cycles may grow
 CYCLE_WALK_GUARD = 2**24
 GADGET_DEPTH_EXPONENT = 1 / 16  # psi: tree depth psi * log_(delta-1) n
+# largest n whose edge keys u * n + v, at most n * n - 1, fit in int64
+EDGE_KEY_MAX_N = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class RegularGraph:
     """Multigraph with a target degree and optional vertex roles.  `edges` is
     a read-only (m, 2) int64 array in canonical order: u <= v in each row,
-    rows sorted lexicographically."""
+    rows sorted by the key u * n + v (lexicographically)."""
 
     n: int
     delta: int
@@ -38,9 +40,7 @@ class RegularGraph:
     roles: dict = field(default_factory=dict)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.n) + np.bincount(
-            self.edges[:, 1], minlength=self.n
-        )
+        return np.bincount(self.edges.reshape(-1), minlength=self.n)
 
     @cached_property
     def loop_split(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -54,17 +54,32 @@ class RegularGraph:
 
 
 def make_graph(n: int, delta: int, edges, roles=None, strict: bool = True) -> RegularGraph:
-    """Canonicalize the edge multiset (sorted pairs).  With strict=True every
-    vertex must have degree delta except root-role vertices with delta - 1;
-    strict=False admits arbitrary multigraphs (delta records the max degree
-    target, e.g. for the exact Swendsen-Wang test instances)."""
-    norm = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-    norm = norm[np.lexsort((norm[:, 1], norm[:, 0]))]
-    norm.flags.writeable = False
-    outside = np.nonzero((norm[:, 0] < 0) | (norm[:, 1] >= n))[0]
-    if outside.size:
-        u, v = norm[outside[0]].tolist()
+    """Canonicalize the edge multiset.  With strict=True every vertex must
+    have degree delta except root-role vertices with delta - 1; strict=False
+    admits arbitrary multigraphs (delta records the max degree target, e.g.
+    for the exact Swendsen-Wang test instances).
+
+    The graph's one canonical order sorts the int64 key lo * n + hi of each
+    edge (lo <= hi its endpoints), the key count_cycles reads X2 from; the
+    rows are split back out of the sorted keys.  The key needs
+    0 <= n <= EDGE_KEY_MAX_N (3_037_000_499); any other n raises ValueError."""
+    if not 0 <= n <= EDGE_KEY_MAX_N:
+        raise ValueError(f"n = {n} is outside 0..{EDGE_KEY_MAX_N}, the vertex counts whose edge keys fit in int64")
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    if lo.size and (lo.min() < 0 or hi.max() >= n):
+        outside = (lo < 0) | (hi >= n)
+        u, v = min(zip(lo[outside].tolist(), hi[outside].tolist()))
         raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    key = lo  # lo * n + hi, formed in place
+    key *= n
+    key += hi
+    del hi  # freed before the output is allocated
+    key.sort()
+    norm = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(norm[:, 0], norm[:, 1]))
+    norm.flags.writeable = False
     roles = dict(roles) if roles else {}
     for v in roles:
         if not 0 <= v < n:
@@ -73,7 +88,9 @@ def make_graph(n: int, delta: int, edges, roles=None, strict: bool = True) -> Re
     if strict:
         deg = g.degrees()
         want = np.full(n, delta)
-        want[[v for v, r in roles.items() if r.startswith("root")]] = delta - 1
+        for v, r in roles.items():
+            if r.startswith("root"):
+                want[v] = delta - 1
         bad = np.nonzero(deg != want)[0]
         if bad.size:
             v = int(bad[0])

@@ -172,14 +172,20 @@ def ferro_alignment_check(model: InteractionMatrix, z1, z2) -> bool:
     return lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-def _json_number(spec: dict, key: str, kind, where: str):
-    """spec[key] converted by kind, or a ValueError that names the key."""
+def _json_number(spec: dict, key: str, where: str, integral: bool = False):
+    """spec[key] as a float, or as an int when integral, or a ValueError that
+    names the key."""
     if key not in spec:
         raise ValueError(f"{where} needs {key!r}")
     try:
-        return kind(spec[key])
-    except (TypeError, ValueError):
+        number = float(spec[key])
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key!r} of {where} must be a number, got {spec[key]!r}") from None
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{key!r} of {where} must be an integer, got {spec[key]!r}")
+    return int(number)
 
 
 def model_from_json(obj) -> InteractionMatrix:
@@ -194,14 +200,14 @@ def model_from_json(obj) -> InteractionMatrix:
         where = "the 'potts' shorthand"
         if not isinstance(spec, dict):
             raise ValueError(f"{where} must be an object with 'q' and 'B'")
-        return build_potts_matrix(_json_number(spec, "q", int, where), _json_number(spec, "B", float, where))
+        return build_potts_matrix(_json_number(spec, "q", where, integral=True), _json_number(spec, "B", where))
     if "entries" not in obj:
         raise ValueError("a model needs 'entries' or the 'potts' shorthand")
     try:
         entries = np.array(obj["entries"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError("model 'entries' must be a square array of numbers") from None
-    if "q" in obj and entries.shape[:1] != (_json_number(obj, "q", int, "the model"),):
+    if "q" in obj and entries.shape[:1] != (_json_number(obj, "q", "the model", integral=True),):
         raise ValueError("declared q does not match the entries shape")
     return interaction_matrix(entries)
 

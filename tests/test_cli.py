@@ -252,6 +252,19 @@ def test_graph_file_rejects_role_vertex_outside_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header, edge", [("10000000000 3", "9999999999 0\n"), ("-1 3", "")], ids=["huge", "negative"])
+def test_graph_file_rejects_vertex_count_outside_the_edge_key(tmp_path, capsys, header, edge):
+    g = tmp_path / "bad.graph"
+    g.write_text(f"{header}\n{edge}")
+    n = header.split()[0]
+    message = f"error: n = {n} is outside 0..3037000499, the vertex counts whose edge keys fit in int64\n"
+    for argv in (["graph", "cycles", "--kmax", "2"], ["sw", "exact", "--q", "3", "--B", "2"]):
+        out = tmp_path / "out.json"
+        assert run_command(argv + ["--graph", str(g), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("color", ["9", "-1"])
 def test_sw_run_rejects_ordered_color_out_of_range(tmp_path, capsys, color):
     g = tmp_path / "g.graph"
@@ -660,6 +673,8 @@ def test_moments_model_files_fail_with_one_error_line(tmp_path, capsys):
         ('{"entries": [[1, Infinity], [Infinity, 1]]}', "interaction matrix entries must be finite"),
         ('{"entries": [[1, NaN], [NaN, 1]]}', "interaction matrix entries must be finite"),
         ('{"entries": [[1, 2], [3]]}', "model 'entries' must be a square array of numbers"),
+        ('{"potts": {"q": 3.7, "B": 2}}', "'q' of the 'potts' shorthand must be an integer, got 3.7"),
+        ('{"q": 2.9, "entries": [[2, 1], [1, 2]]}', "'q' of the model must be an integer, got 2.9"),
         (
             '{"q": 2, "entries": [[0, 0], [0, 0]]}',
             "no tree fixpoint found for the q = 2 model at delta = 3: "

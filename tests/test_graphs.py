@@ -51,6 +51,12 @@ def test_edges_are_canonical_read_only_array():
 def test_make_graph_rejects_bad_edges_and_degrees():
     with pytest.raises(ValueError, match=r"edge \(1, 3\) outside vertex range"):
         make_graph(3, 2, [(0, 1), (3, 1)])
+    # the message names the first bad edge in canonical order, not input order
+    cases = [(3, [(0, 1), (5, 2), (3, 0)], (0, 3)), (3, [(2, 1), (-1, 0), (1, -4)], (-4, 1)), (0, [(0, 0)], (0, 0))]
+    for n, edges, bad in cases:
+        with pytest.raises(ValueError) as info:
+            make_graph(n, 2, edges, strict=False)
+        assert str(info.value) == f"edge {bad} outside vertex range"
     with pytest.raises(ValueError, match="vertex 0 has degree 1, expected 2"):
         make_graph(3, 2, [(0, 1), (1, 2)])
     # root-role vertices are held to delta - 1
@@ -61,6 +67,47 @@ def test_make_graph_rejects_bad_edges_and_degrees():
         for strict in (True, False):
             with pytest.raises(ValueError, match=f"role vertex {v} outside vertex range"):
                 make_graph(3, 2, [(0, 1), (1, 2), (0, 2)], roles={v: "rootPlus"}, strict=strict)
+
+
+def _lexsort_canonical(edges):
+    """Row sort plus two-key lexsort: the reference the one-key canonical
+    order of make_graph must match byte for byte."""
+    norm = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    return norm[np.lexsort((norm[:, 1], norm[:, 0]))]
+
+
+def test_canonical_order_matches_lexsort_reference():
+    rng = np.random.default_rng(15)
+    cases = [(0, []), (1, []), (5, []), (1, [(0, 0)]), (1, [(0, 0)] * 3), (2, [(1, 0), (0, 1), (1, 1)])]
+    for n in (2, 3, 7, 50, 1000):
+        for m in (1, 2, 9, 200):
+            edges = rng.integers(0, n, size=(m, 2))
+            # self-loops, parallel edges in both orientations
+            edges[: m // 4, 1] = edges[: m // 4, 0]
+            edges = np.concatenate((edges, edges[: m // 3, ::-1], edges[: m // 5]))
+            cases.append((n, rng.permutation(edges)))
+    assert sum(np.any(e[:, 0] == e[:, 1]) for _, e in cases[6:]) >= 10
+    for n, edges in cases:
+        g = make_graph(n, 3, edges, strict=False)
+        want = _lexsort_canonical(edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == want.shape == (len(edges), 2)
+        assert g.edges.tobytes() == want.tobytes(), (n, edges)
+        assert not g.edges.flags.writeable
+    g = pairing_sample(2000, 3, seed=4)
+    assert g.edges.tobytes() == _lexsort_canonical(sample_matching(2000, 3, seed=4) // 3).tobytes()
+
+
+def test_make_graph_guards_the_edge_key_range():
+    top = graphs.EDGE_KEY_MAX_N
+    assert top == 3_037_000_499 and top * top - 1 < 2**63 <= (top + 1) * (top + 1) - 1
+    # the largest key, n * n - 1, still splits back exactly
+    edges = [(top - 1, top - 1), (top - 1, 0), (top - 2, top - 1), (0, top - 1)]
+    g = make_graph(top, 3, edges, strict=False)
+    assert g.edges.tolist() == [[0, top - 1], [0, top - 1], [top - 2, top - 1], [top - 1, top - 1]]
+    for n, edges in ((top + 1, [(top, 0)]), (10**10, [(10**10 - 1, 0)]), (-1, [])):
+        with pytest.raises(ValueError) as info:
+            make_graph(n, 3, edges, strict=False)
+        assert str(info.value) == f"n = {n} is outside 0..3037000499, the vertex counts whose edge keys fit in int64"
 
 
 def test_single_vertex_forced_loop():

@@ -225,6 +225,10 @@ def test_model_json_roundtrip():
     assert np.array_equal(again.entries, m.entries)
     short = model_from_json({"potts": {"q": 4, "B": 2.5}})
     assert short.q == 4 and short.entries[0, 0] == 2.5
+    # an integral q may be written as a float or a string
+    for q in (4.0, "4"):
+        assert np.array_equal(model_from_json({"potts": {"q": q, "B": 2.5}}).entries, short.entries)
+    assert model_from_json({"q": 3.0, "entries": m.entries.tolist()}).q == 3
     with pytest.raises(ValueError):
         model_from_json({"q": 3, "entries": [[1.0, 2.0], [2.0, 1.0]]})
 
@@ -245,6 +249,14 @@ def test_model_json_roundtrip():
         ({"entries": [[1, float("inf")], [float("inf"), 1]]}, "interaction matrix entries must be finite"),
         ({"entries": [[1, float("nan")], [float("nan"), 1]]}, "interaction matrix entries must be finite"),
         ("[[1, 0], [0, 1]]", "a model file must hold a JSON object, got list"),
+        ({"potts": {"q": 3.7, "B": 2}}, "'q' of the 'potts' shorthand must be an integer, got 3.7"),
+        ({"potts": {"q": float("inf"), "B": 2}}, "'q' of the 'potts' shorthand must be an integer, got inf"),
+        pytest.param(
+            {"potts": {"q": 3, "B": 10**400}},
+            f"'B' of the 'potts' shorthand must be a number, got {10**400}",
+            id="huge-B",
+        ),
+        ({"q": 2.9, "entries": [[2, 1], [1, 2]]}, "'q' of the model must be an integer, got 2.9"),
     ],
 )
 def test_model_json_names_the_bad_part(obj, message):
