@@ -151,7 +151,7 @@ def _cmd_moments(args) -> int:
         # bad inputs fail here, before any psi work
         alpha = _check_simplex([float(x) for x in args.alpha.split(",")], model.q)
         if args.exact_n is not None:
-            exact = moments.first_moment_exact(args.exact_n, args.delta, model, alpha)
+            log_exact = moments._first_moment_log(args.exact_n, args.delta, model, alpha)
         rep = moments.moment_report(model, args.delta, compute_psi2=False, seed=args.seed)
         p1 = moments.psi1(model, args.delta, alpha)
         p2 = nan if args.no_psi2 else moments.psi2(model, args.delta, alpha)
@@ -165,7 +165,7 @@ def _cmd_moments(args) -> int:
     rows = [list(a) + [v1, v2, norm, int(dom)] for a, v1, v2, dom in phases]
     if args.exact_n is not None:
         header.append(f"exact_log_mean_n{args.exact_n}")
-        rows[0].append(np.log(exact) / args.exact_n if exact > 0 else float("-inf"))
+        rows[0].append(log_exact / args.exact_n)
     text = _csv_artifact(
         "moments", args, header, rows, "psi1/psi2 in nats per vertex; alpha probabilities"
     )

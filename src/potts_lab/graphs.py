@@ -250,11 +250,12 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
     weights[np.isnan(weights)] = 0.0  # 0-weight edges force impossible states
 
     counts = np.count_nonzero(states[:, :, None] == np.arange(q), axis=1)
-
-    z_by_phase: dict = {}
-    for idx in range(len(states)):
-        key = tuple(counts[idx])
-        z_by_phase[key] = z_by_phase.get(key, 0.0) + weights[idx]
+    # one mixed-radix key per state (the count rows themselves past int64)
+    key = counts @ (g.n + 1) ** np.arange(q) if (g.n + 1.0) ** q < 2**63 else counts
+    _, first, phase = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    # bincount adds each phase's weights in state order, from 0.0
+    sums = np.bincount(phase.reshape(-1), weights=weights)
+    z_by_phase = {tuple(counts[first[p]]): sums[p] for p in np.argsort(first)}
 
     return GibbsOracle(Z=float(weights.sum()), weights=weights, z_by_phase=z_by_phase)
 

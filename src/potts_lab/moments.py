@@ -10,9 +10,13 @@ The global maximum of psi1 equals Delta * ln of the p->2 induced norm of the
 Cholesky factor (p = Delta/(Delta-1)), and the second-moment exponent psi2 is
 a constrained first moment of the paired-spin model with matrix kron(B, B).
 
-Exact finite-n moments over the pairing model are evaluated by summing the
-closed-form expression over all integer-feasible edge-count vectors in the
-log domain.
+Exact finite-n moments over the pairing model come from one coefficient,
+E[Z^alpha] = (n! / prod n_i!) [x^D] prod_i D_i! exp(x^T B x / 2) / (Delta n - 1)!!
+with D = Delta * n * alpha, taken by eliminating one colour at a time on a
+log-domain table (_edge_lattice_logsum).  The second moment sums the same
+coefficient of kron(B, B) over integer overlap matrices.  Past
+EXACT_MOMENT_GUARD table entries per coefficient they raise SizeGuardError,
+and a moment that overflows a float raises ValueError naming its log.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ NORM_SEED = 7  # Philox key of the norm ascent's random starts
 PSI2_SEED = 11  # Philox key of psi2's random overlap starts
 PSI2_STARTS = 50  # random overlap starts per psi2 call
 PSI2_MAX_STEPS = 400  # accepted steps per psi2 ascent
-FIRST_MOMENT_GUARD = 5e6  # edge-lattice recursion nodes
-SECOND_MOMENT_GUARD = 1e6  # per overlap matrix
+EXACT_MOMENT_GUARD = 5e7  # table entries one colour elimination touches (_elimination_entries)
 SIMPLEX_STEP = 0.02
 SIMPLEX_MAX_POINTS = 200000
 SMALL_GRAPH_KMAX = 60
@@ -343,130 +346,104 @@ def _integer_counts(alpha, n: int) -> np.ndarray:
     return rounded.astype(int)
 
 
-def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray, max_terms: float) -> float:
-    """log sum over symmetric integer edge-count matrices with point capacities D.
-
-    Each term carries
-      sum_i lgamma(D_i+1) - sum_{i<j} lgamma(e_ij+1)
-      - sum_i (lgamma(m_ii+1) + m_ii ln 2 - m_ii ln B_ii) + sum_{i<j} e_ij ln B_ij,
-    with the diagonal loop counts m_ii forced by the leftover (even) capacities.
-    The off-diagonal variables are enumerated recursively except the final two,
-    which couple only through one shared color and therefore reduce to a
-    convolution of two one-dimensional profiles.  Needs k >= 2 colors (the
-    model constructors reject q < 2), so there is at least one pair.
-    """
+def _elimination_entries(D) -> float:
+    """Table entries _edge_lattice_logsum touches for point counts D: the
+    colour-0 table, then for each later colour i one pass per shift (min(D_i,
+    D_j) + 1 for each j > i) and one contraction over the table of colours
+    i..k-1."""
     k = len(D)
-    D = D.astype(int)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    head = pairs[:-2]
-    nodes = 1.0
-    for i, j in head:
-        nodes *= min(D[i], D[j]) + 1
-    if nodes > max_terms:
+    size = [math.prod(D[j] + 1.0 for j in range(i, k)) for i in range(k)]
+    return size[1] + sum(
+        size[i] * (1 + sum(min(D[i], D[j]) + 1 for j in range(i + 1, k))) for i in range(1, k)
+    )
+
+
+def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray) -> float:
+    """log of [x^D] prod_i D_i! exp(x^T B x / 2), the summed pairing weight of
+    every symmetric edge-count matrix whose rows use the point counts D.
+
+    e edges between colours i < j weigh c_ij(e) = B_ij^e / e!, and r points
+    of colour i left to loops weigh L_i(r) = B_ii^(r/2) / ((r/2)! 2^(r/2)) for
+    even r (0 for odd r).  Colours are eliminated one at a time on a log-domain
+    table whose axis for colour j counts the points of j used so far.  Colour 0
+    fills it as sum_j ln c_0j(u_j) + ln L_0(D_0 - sum_j u_j).  Each later
+    colour i shifts the table along the diagonal of axes (i, j) by c_ij for
+    every j > i, then contracts axis i against L_i(D_i - u).  Raises
+    SizeGuardError, before any allocation, when the entries touched exceed
+    EXACT_MOMENT_GUARD.  Needs k >= 2 colours (the model constructors reject
+    q < 2).
+    """
+    D = [int(d) for d in D]
+    k = len(D)
+    entries = _elimination_entries(D)
+    if entries > EXACT_MOMENT_GUARD:
         raise SizeGuardError(
-            f"edge lattice recursion bound {nodes:.3g} exceeds the guard {max_terms:.3g}"
+            f"colour elimination touches {entries:.3g} entries, past the guard {EXACT_MOMENT_GUARD:.3g}"
         )
-    total = int(D.sum())
-    logfact = np.zeros(total + 1)
-    if total:
-        logfact[1:] = np.cumsum(np.log(np.arange(1.0, total + 1.0)))
-    diag_logB = np.diag(logB)
-    base = float(logfact[D].sum())
-    chunks: list[float] = []
-    neg_inf = -np.inf
+    logfact = np.zeros(max(D) + 1)
+    logfact[1:] = np.cumsum(np.log(np.arange(1.0, max(D) + 1.0)))
 
-    def loop_profile(color, caps):
-        """log weight of the forced loops for one color, per leftover capacity."""
-        caps = np.asarray(caps)
-        m, rem = np.divmod(caps, 2)
-        out = np.where(rem == 0, -logfact[np.abs(m)] - m * LN2, neg_inf)
-        if np.isneginf(diag_logB[color]):
-            out = np.where(m > 0, neg_inf, out)
-        else:
-            out = out + m * diag_logB[color]
-        return np.where(caps < 0, neg_inf, out)
+    def log_series(log_coef, top):  # ln(a^e / e!) for e = 0..top
+        out = -logfact[: top + 1]
+        out[1:] += np.arange(1, top + 1) * log_coef
+        return out
 
-    def edge_profile(i, j, top):
-        e = np.arange(top + 1)
-        out = -logfact[e]
-        if np.isneginf(logB[i, j]):
-            out = np.where(e > 0, neg_inf, out)
-        else:
-            out = out + e * logB[i, j]
-        return e, out
+    def log_loops(i):  # ln L_i(r) for r = 0..D_i
+        out = np.full(D[i] + 1, -np.inf)
+        out[::2] = log_series(logB[i, i] - LN2, D[i] // 2)
+        return out
 
-    def leaf(cap, used_log):
-        if len(pairs) == 1:
-            (i, j) = pairs[0]
-            e, prof = edge_profile(i, j, min(cap[i], cap[j]))
-            rest = 0.0
-            for c in range(k):
-                if c not in (i, j):
-                    rest += float(loop_profile(c, [cap[c]])[0])
-            vals = used_log + rest + prof + loop_profile(i, cap[i] - e) + loop_profile(j, cap[j] - e)
-            v = _logsumexp(vals)
-            if v > neg_inf:
-                chunks.append(base + v)
-            return
-        # final two pairs (a, w) and (b, w) share only the color w
-        (a, w1), (b, w2) = pairs[-2], pairs[-1]
-        assert w1 == w2
-        w = w1
-        rest = 0.0
-        for c in range(k):
-            if c not in (a, b, w):
-                rest += float(loop_profile(c, [cap[c]])[0])
-        if rest == neg_inf:
-            return
-        ea, fa = edge_profile(a, w, min(cap[a], cap[w]))
-        eb, fb = edge_profile(b, w, min(cap[b], cap[w]))
-        f = fa + loop_profile(a, cap[a] - ea)
-        g = fb + loop_profile(b, cap[b] - eb)
-        if np.all(np.isneginf(f)) or np.all(np.isneginf(g)):
-            return
-        fmax, gmax = f.max(), g.max()
-        conv = np.convolve(np.exp(f - fmax), np.exp(g - gmax))
-        s = np.arange(len(conv))
+    used = np.ix_(*[np.arange(d + 1) for d in D[1:]])
+    rest = D[0] - sum(used)
+    F = np.where(rest >= 0, log_loops(0)[np.maximum(rest, 0)], -np.inf)
+    F = F + sum(log_series(logB[0, j], D[j])[used[j - 1]] for j in range(1, k))
+    for i in range(1, k):  # F's axis 0 is colour i, axis j - i colour j
+        for j in range(i + 1, k):
+            if min(D[i], D[j]) == 0 or logB[i, j] == -np.inf:
+                continue  # no i-j edge possible: the shift is the identity
+            c = log_series(logB[i, j], min(D[i], D[j]))
+            G = F.copy()
+            # views with the axes of colours i and j first
+            Fij, Gij = np.moveaxis(F, j - i, 1), np.moveaxis(G, j - i, 1)
+            for e in range(1, len(c)):
+                np.logaddexp(Gij[e:, e:], Fij[:-e, :-e] + c[e], out=Gij[e:, e:])
+            F = G
+        T = F + log_loops(i)[::-1].reshape((-1,) + (1,) * (F.ndim - 1))
+        top = T.max(axis=0)
+        top = np.where(top > -np.inf, top, 0.0)
         with np.errstate(divide="ignore"):
-            h = np.where(conv > 0, np.log(conv), neg_inf) + loop_profile(w, cap[w] - s)
-        v = _logsumexp(h)
-        if v > neg_inf:
-            chunks.append(base + used_log + rest + fmax + gmax + v)
-
-    def recurse(idx, cap, used_log):
-        if idx == len(head):
-            leaf(cap, used_log)
-            return
-        i, j = pairs[idx]
-        if np.isneginf(logB[i, j]):
-            recurse(idx + 1, cap, used_log)
-            return
-        for ev in range(min(cap[i], cap[j]) + 1):
-            cap[i] -= ev
-            cap[j] -= ev
-            recurse(idx + 1, cap, used_log - float(logfact[ev]) + ev * logB[i, j])
-            cap[i] += ev
-            cap[j] += ev
-
-    recurse(0, D.copy(), 0.0)
-    return _logsumexp(chunks)
+            F = top + np.log(np.exp(T - top).sum(axis=0))
+    return float(F) + float(logfact[D].sum())
 
 
-def first_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
-    """E[Z^alpha] over the pairing model, exactly (log-domain internally)."""
-    counts = _integer_counts(_check_simplex(alpha, model.q), n)
-    _check_pairing_size(n, delta)
-    B = model.entries
-    with np.errstate(divide="ignore"):
-        logB = np.log(B)
-    D = delta * counts
+def _exp_or_raise(name: str, log_value: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{name} = exp({log_value!r}) overflows a float") from None
+
+
+def _log_moment(n: int, delta: int, logB: np.ndarray, counts: np.ndarray) -> float:
+    """ln E[Z^alpha] over the pairing model at colour counts n * alpha."""
     log_multinomial = math.lgamma(n + 1) - float(
         np.sum([math.lgamma(c + 1) for c in counts])
     )
-    inner = _edge_lattice_logsum(D, logB, FIRST_MOMENT_GUARD)
-    if inner == -np.inf:
-        return 0.0
-    return math.exp(log_multinomial + inner - _log_pairings(n * delta))
+    return log_multinomial + _edge_lattice_logsum(delta * counts, logB) - _log_pairings(n * delta)
+
+
+def _first_moment_log(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
+    """ln E[Z^alpha] over the pairing model (-inf when Z^alpha is 0)."""
+    counts = _integer_counts(_check_simplex(alpha, model.q), n)
+    _check_pairing_size(n, delta)
+    with np.errstate(divide="ignore"):
+        logB = np.log(model.entries)
+    return _log_moment(n, delta, logB, counts)
+
+
+def first_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
+    """E[Z^alpha] over the pairing model, exactly (log-domain internally).
+    Raises ValueError when the value overflows a float."""
+    return _exp_or_raise("E[Z^alpha]", _first_moment_log(n, delta, model, alpha))
 
 
 def _overlap_matrices(counts: np.ndarray):
@@ -498,24 +475,14 @@ def _overlap_matrices(counts: np.ndarray):
 
 def second_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """E[(Z^alpha)^2] over the pairing model: an exact paired-spin first
-    moment summed over integer overlap matrices.  Tiny instances only."""
+    moment summed over integer overlap matrices.  Tiny instances only.
+    Raises ValueError when the value overflows a float."""
     counts = _integer_counts(_check_simplex(alpha, model.q), n)
     _check_pairing_size(n, delta)
-    K = _paired_model(model)
     with np.errstate(divide="ignore"):
-        logK = np.log(K)
-    total_pairings = _log_pairings(n * delta)
-    terms = []
-    for gamma in _overlap_matrices(counts):
-        gflat = gamma.reshape(-1)
-        log_multinomial = math.lgamma(n + 1) - float(
-            np.sum([math.lgamma(g + 1) for g in gflat])
-        )
-        inner = _edge_lattice_logsum(delta * gflat, logK, SECOND_MOMENT_GUARD)
-        if inner > -np.inf:
-            terms.append(log_multinomial + inner - total_pairings)
-    out = _logsumexp(terms)
-    return 0.0 if out == -np.inf else math.exp(out)
+        logK = np.log(_paired_model(model))
+    terms = [_log_moment(n, delta, logK, gamma.reshape(-1)) for gamma in _overlap_matrices(counts)]
+    return _exp_or_raise("E[(Z^alpha)^2]", _logsumexp(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -394,10 +394,14 @@ def _damped_iterate(B: np.ndarray, d: int, R0) -> np.ndarray:
     the tree fixpoints normalized to sum 1; this form keeps zero coordinates
     (coordinate-vector starts) well defined, and leaves rows with B R = 0 as
     they are.  All rows step together; each stops on its own once a step
-    moves it by less than DAMPED_STEP_TOL, or after DAMPED_MAX_STEPS steps.
+    moves it by less than DAMPED_STEP_TOL, once a step that did not shrink
+    brings it back within DAMPED_STEP_TOL of where it was two steps earlier
+    (a period-2 orbit, which never converges), or after DAMPED_MAX_STEPS
+    steps.
     """
     R = np.array(R0, dtype=float, ndmin=2)
     R = R / R.sum(axis=1, keepdims=True)
+    before = np.full_like(R, np.nan)  # each row one step back
     live = np.arange(len(R))
     for _ in range(DAMPED_MAX_STEPS):
         cur = R[live]
@@ -408,7 +412,15 @@ def _damped_iterate(B: np.ndarray, d: int, R0) -> np.ndarray:
             out = out / out.sum(axis=1, keepdims=True)
         nxt = 0.5 * cur + 0.5 * np.where(m > 0, out, cur)
         R[live] = nxt
-        live = live[np.max(np.abs(nxt - cur), axis=1) >= DAMPED_STEP_TOL]
+        prev = before[live]
+        before[live] = cur
+        step = np.max(np.abs(nxt - cur), axis=1)
+        # a period-2 orbit: back where it was two steps earlier by a step that
+        # did not shrink (a converging oscillation shrinks; NaN compares False)
+        cycled = (np.max(np.abs(nxt - prev), axis=1) < DAMPED_STEP_TOL) & (
+            step >= np.max(np.abs(cur - prev), axis=1)
+        )
+        live = live[(step >= DAMPED_STEP_TOL) & ~cycled]
         if not len(live):
             break
     return R

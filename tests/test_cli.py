@@ -96,6 +96,32 @@ def test_moments_exact_n_must_be_positive(tmp_path, capsys, n):
     assert not out.exists()
 
 
+def test_moments_exact_n_past_a_float_keeps_its_log_column(tmp_path):
+    # E[Z^alpha] = exp(907.3) is no float, but its log per vertex is
+    from potts_lab import moments
+    from potts_lab.spinsys import build_potts_matrix
+
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", "3", "--alpha", "0.5,0.5"]
+    assert run_command(argv + ["--no-psi2", "--exact-n", "700", "--csv", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    got = float(lines[1].split(",")[lines[0].split(",").index("exact_log_mean_n700")])
+    want = moments._first_moment_log(700, 3, build_potts_matrix(2, 2.0), [0.5, 0.5]) / 700
+    assert math.isfinite(got) and got == want
+
+
+def test_moments_exact_n_past_the_guard_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    third = "0.3333333333333333"
+    argv = ["moments", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3"]
+    argv += ["--alpha", f"{third},{third},0.3333333333333334", "--no-psi2", "--exact-n", "600"]
+    assert run_command(argv + ["--csv", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "guard violation: colour elimination touches 2.18e+08 entries, past the guard 5e+07\n"
+    )
+    assert not out.exists()
+
+
 def test_moments_no_psi2_is_recorded(capsys):
     argv = ["moments", "--model", "potts", "--q", "3", "--B", "2", "--delta", "3"]
     assert run_command(argv + ["--no-psi2"]) == 0

@@ -253,6 +253,35 @@ def test_brute_gibbs_phase_permutation_symmetry():
             assert abs(o.z_by_phase[permuted] - z) < 1e-12
 
 
+def _loop_z_by_phase(g, model):
+    """The phase table filled state by state: the reference brute_gibbs must
+    match bit for bit, key order included."""
+    o = brute_gibbs(g, model)
+    states = graphs.all_colorings(g.n, model.q)
+    table: dict = {}
+    for state, w in zip(states, o.weights):
+        key = tuple(np.bincount(state, minlength=model.q))
+        table[key] = table.get(key, 0.0) + w
+    return o.z_by_phase, table
+
+
+@pytest.mark.parametrize(
+    "g, model",
+    [
+        (pairing_sample(8, 3, seed=1), build_potts_matrix(3, 2.0)),
+        (pairing_sample(6, 3, seed=2), interaction_matrix(np.ones((3, 3)) - np.eye(3))),
+        (pairing_sample(6, 3, seed=4), interaction_matrix(np.array([[3, 1, 0.5], [1, 2, 1], [0.5, 1, 2.5]]))),
+        # 4^32 overflows the int64 key, so the count rows are the key
+        (triangle(), build_potts_matrix(32, 2.0)),
+    ],
+    ids=["potts", "colorings", "general", "q32"],
+)
+def test_brute_gibbs_phase_table_matches_a_state_loop(g, model):
+    got, want = _loop_z_by_phase(g, model)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is type(w) for v, w in zip(got.values(), want.values()))
+
+
 def test_brute_gibbs_guard():
     g = pairing_sample(30, 2, seed=1)
     with pytest.raises(SizeGuardError):

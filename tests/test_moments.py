@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from potts_lab import treefix
+from potts_lab import moments, treefix
 from potts_lab.moments import (
+    _elimination_entries,
     _orbit,
     dif_value,
     first_moment_exact,
@@ -162,6 +164,90 @@ def test_first_moment_validation():
         first_moment_exact(4, 3, m, [0.4, 0.6])  # non-integer counts
     with pytest.raises(SizeGuardError):
         first_moment_exact(600, 3, build_potts_matrix(6, 2.0), np.ones(6) / 6)
+
+
+def _enumerated_first_moment(n, delta, B, counts):
+    """E[Z^alpha] summed over every symmetric edge-count matrix: the
+    off-diagonal counts e_ij run over all values, the loops take the rest.
+    Pairings per matrix are counted in exact integers."""
+    q = len(counts)
+    D = [delta * c for c in counts]
+    pairs = list(itertools.combinations(range(q), 2))
+    total = 0.0
+    for e in itertools.product(*[range(min(D[i], D[j]) + 1) for i, j in pairs]):
+        rest = list(D)
+        for (i, j), eij in zip(pairs, e):
+            rest[i] -= eij
+            rest[j] -= eij
+        if min(rest) < 0 or any(r % 2 for r in rest):
+            continue
+        loops = [r // 2 for r in rest]
+        ways = math.prod(math.factorial(d) for d in D)
+        ways //= math.prod(math.factorial(x) for x in e)
+        ways //= math.prod(math.factorial(m) * 2**m for m in loops)
+        weight = math.prod(B[i, j] ** x for (i, j), x in zip(pairs, e))
+        weight *= math.prod(B[i, i] ** m for i, m in enumerate(loops))
+        total += ways * weight
+    multinomial = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+    pairings = math.prod(range(n * delta - 1, 0, -2))
+    return total * (multinomial / pairings)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_potts_matrix(2, 0.5),
+        build_potts_matrix(3, 2.0),
+        interaction_matrix(np.array([[3, 1, 0.5], [1, 2, 1], [0.5, 1, 2.5]])),
+        colorings_matrix(),
+    ],
+    ids=["potts2", "potts3", "general", "colorings"],
+)
+def test_first_moment_matches_edge_count_enumeration(model):
+    q = model.q
+    for n in (2, 4, 6, 8):
+        for head in itertools.product(range(n + 1), repeat=q - 1):
+            if sum(head) > n:
+                continue
+            counts = [*head, n - sum(head)]  # zero entries included
+            want = _enumerated_first_moment(n, 3, model.entries, counts)
+            got = first_moment_exact(n, 3, model, np.array(counts) / n)
+            if want == 0.0:
+                assert got == 0.0, counts
+            else:
+                assert abs(got - want) <= 1e-12 * want, (n, counts)
+
+
+def test_first_moment_keeps_the_recursion_values():
+    # first_moment_exact of the edge-count recursion it replaced
+    m = build_potts_matrix(3, 2.0)
+    pinned = {48: 1.071561672233924e30, 102: 3.8977511610145167e65, 198: 1.2563364020775629e129}
+    for n, want in pinned.items():
+        assert abs(first_moment_exact(n, 3, m, np.ones(3) / 3) - want) <= 1e-12 * want
+
+
+def test_first_moment_guard_boundary(monkeypatch):
+    m = build_potts_matrix(3, 2.0)
+    # 49.7 M and 52.2 M entries against the 5e7 guard
+    assert _elimination_entries([366] * 3) <= moments.EXACT_MOMENT_GUARD < _elimination_entries([372] * 3)
+    assert first_moment_exact(366, 3, m, np.ones(3) / 3) > 0
+    with pytest.raises(SizeGuardError, match=r"^colour elimination touches 5.22e\+07 entries"):
+        first_moment_exact(372, 3, m, np.ones(3) / 3)
+    # the bound itself is admitted
+    monkeypatch.setattr(moments, "EXACT_MOMENT_GUARD", _elimination_entries([6, 6, 6]))
+    assert first_moment_exact(6, 3, m, np.ones(3) / 3) > 0
+    monkeypatch.setattr(moments, "EXACT_MOMENT_GUARD", _elimination_entries([6, 6, 6]) - 1)
+    with pytest.raises(SizeGuardError):
+        first_moment_exact(6, 3, m, np.ones(3) / 3)
+
+
+def test_exact_moments_name_the_log_value_that_overflows():
+    with pytest.raises(ValueError, match=r"^E\[Z\^alpha\] = exp\(907\.\d+\) overflows a float$"):
+        first_moment_exact(700, 3, build_potts_matrix(2, 2.0), [0.5, 0.5])
+    huge = build_potts_matrix(2, 1e100)
+    assert first_moment_exact(2, 3, huge, [1, 0]) == pytest.approx(1e300, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^E\[\(Z\^alpha\)\^2\] = exp\(1381\.\d+\) overflows"):
+        second_moment_exact(2, 3, huge, [1, 0])
 
 
 @pytest.mark.parametrize("n", [0, -2])

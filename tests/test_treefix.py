@@ -395,6 +395,24 @@ def test_damped_iterate_rows_stop_on_their_own():
     assert np.array_equal(_damped_iterate(np.diag([0.0, 1.0]), 2, [[1.0, 0.0]]), [[1.0, 0.0]])
 
 
+def test_damped_iterate_stops_a_period_2_row(monkeypatch):
+    from potts_lab.treefix import _damped_iterate
+
+    # at d = 60 the tree step sends (1/3, 2/3) to a coordinate vector, and the
+    # damped recursion swaps (1/3, 2/3) and (2/3, 1/3) exactly
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    start = np.array([[1 / 3, 2 / 3]])
+    monkeypatch.setattr(treefix, "DAMPED_MAX_STEPS", 2)
+    assert np.array_equal(_damped_iterate(B, 60, start), start)
+    # the row stops after its second step, back at its start, instead of
+    # running out an odd step budget on the other point of the orbit
+    monkeypatch.setattr(treefix, "DAMPED_MAX_STEPS", 5)
+    assert np.array_equal(_damped_iterate(B, 60, start), start)
+    # proper 3-colourings at delta = 10 oscillate with period 2 from every start
+    monkeypatch.undo()
+    assert find_fixpoints(interaction_matrix(np.ones((3, 3)) - np.eye(3)), 10) == []
+
+
 def _loop_two_value_roots(q, delta, B, t):
     """Point-by-point form of the grid scans in two_value_roots: the
     reference the vectorised scans must match exactly."""
