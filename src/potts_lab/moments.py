@@ -336,9 +336,11 @@ def _log_pairings(m: int) -> float:
     return math.lgamma(m + 1) - math.lgamma(m // 2 + 1) - (m // 2) * LN2
 
 
-def _integer_counts(alpha, n: int) -> np.ndarray:
+def _integer_counts(alpha, n: int, delta: int) -> np.ndarray:
     if n < 1:
         raise ValueError("exact moments need n >= 1 vertices")
+    if max(n, delta * n) > 2**53:  # checked before any float count or int64 cast
+        raise SizeGuardError(f"n = {n} at delta = {delta} passes 2^53 points, where float counts stop being exact")
     counts = np.asarray(alpha, dtype=float) * n
     rounded = np.round(counts)
     if np.max(np.abs(counts - rounded)) > 1e-9:
@@ -348,13 +350,18 @@ def _integer_counts(alpha, n: int) -> np.ndarray:
 
 def _elimination_entries(D) -> float:
     """Table entries _edge_lattice_logsum touches for point counts D: the
-    colour-0 table, then for each later colour i one pass per shift (min(D_i,
-    D_j) + 1 for each j > i) and one contraction over the table of colours
-    i..k-1."""
+    colour-0 table, then for each later colour i and each j > i one copy of
+    the table of colours i..k-1 and the (D_i+1-e)(D_j+1-e) overlap of each
+    shift e = 1..min(D_i, D_j) times the other axes, and one contraction."""
     k = len(D)
     size = [math.prod(D[j] + 1.0 for j in range(i, k)) for i in range(k)]
+
+    def passes(a, b):  # 1 + sum of (a - e)(b - e) over e = 1..c - 1, c = min(a, b), per a * b entries
+        c = min(a, b)
+        return 1 + c * (c - 1) * ((2 * c - 1) / 6 + abs(a - b) / 2) / (a * b)
+
     return size[1] + sum(
-        size[i] * (1 + sum(min(D[i], D[j]) + 1 for j in range(i + 1, k))) for i in range(1, k)
+        size[i] * (1 + sum(passes(D[i] + 1, D[j] + 1) for j in range(i + 1, k))) for i in range(1, k)
     )
 
 
@@ -433,7 +440,7 @@ def _log_moment(n: int, delta: int, logB: np.ndarray, counts: np.ndarray) -> flo
 
 def _first_moment_log(n: int, delta: int, model: InteractionMatrix, alpha) -> float:
     """ln E[Z^alpha] over the pairing model (-inf when Z^alpha is 0)."""
-    counts = _integer_counts(_check_simplex(alpha, model.q), n)
+    counts = _integer_counts(_check_simplex(alpha, model.q), n, delta)
     _check_pairing_size(n, delta)
     with np.errstate(divide="ignore"):
         logB = np.log(model.entries)
@@ -477,7 +484,7 @@ def second_moment_exact(n: int, delta: int, model: InteractionMatrix, alpha) -> 
     """E[(Z^alpha)^2] over the pairing model: an exact paired-spin first
     moment summed over integer overlap matrices.  Tiny instances only.
     Raises ValueError when the value overflows a float."""
-    counts = _integer_counts(_check_simplex(alpha, model.q), n)
+    counts = _integer_counts(_check_simplex(alpha, model.q), n, delta)
     _check_pairing_size(n, delta)
     with np.errstate(divide="ignore"):
         logK = np.log(_paired_model(model))

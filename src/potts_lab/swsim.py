@@ -15,10 +15,10 @@ densities E_u and E_m and the ordered phase vector (all three from one
 majority fixpoint per call), the U/M/T configuration classes built from them,
 an exact transition kernel for tiny instances with its row-blocked error
 check, and conductance evaluation for the phase cut, the states whose
-dominant color is a given one.  The exact kernel sums subset by subset, after
-one `components` call labels all 2^|E| kept-edge subsets, within
-EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS subsets.  An activity that
-is not a finite B >= 1 is rejected before any work.
+dominant color is a given one.  The exact kernel sums subset by subset over
+one bitmask per state of its monochromatic edges, with no `components` call,
+within EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS subsets.  An
+activity that is not a finite B >= 1 is rejected before any work.
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
     over kept-edge subsets A: P(s, t) adds p^|A| (1-p)^(m(s)-|A|) / q^c(A)
     for each subset A of the non-loop edges monochromatic in both s and t,
     with p = 1 - 1/B, m(s) the non-loop monochromatic count of s and c(A)
-    the component count of A.  Subsets go in increasing bitmask order."""
+    the component count of A.  Subsets go in increasing bitmask order, and
+    the q^c(A) states that keep A are those whose monochromatic-edge bitmask holds A."""
     _check_activity(B)
     n = g.n
     if q**n > EXACT_KERNEL_GUARD:
@@ -273,26 +274,17 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
     if 2**E > EXACT_KERNEL_SUBSETS:
         raise SizeGuardError(f"2^{E} kept-edge subsets exceed the exact-kernel guard")
     states = all_colorings(n, q)
-    powers = q ** np.arange(n)
-    m = np.count_nonzero(states[:, u] == states[:, v], axis=1)
+    alike = states[:, u] == states[:, v]
+    m = np.count_nonzero(alike, axis=1)
+    mask = alike @ (1 << np.arange(E))  # bit k set when edge k is monochromatic
     keep_p = 1.0 - 1.0 / B
     prob = np.zeros((E + 1, E + 1))
     for mm in range(E + 1):
         prob[mm, : mm + 1] = [keep_p**i * (1.0 - keep_p) ** (mm - i) for i in range(mm + 1)]
-    # copy r of the graph keeps the edges of subset r; one components call
-    # labels all 2^E copies, each numbered from its first vertex
-    copy, k = np.nonzero((np.arange(2**E)[:, None] >> np.arange(E)) & 1)
-    _, labels = components(2**E * n, u[k] + copy * n, v[k] + copy * n)
-    labels = labels.reshape(2**E, n)
-    labels = labels - labels[:, :1]
-    sizes = (q ** (labels.max(axis=1, initial=-1) + 1)).tolist()
-    kept = np.bincount(copy, minlength=2**E).tolist()
     P = np.zeros((len(states), len(states)))
-    for label, size, a in zip(labels, sizes, kept):
-        # the states that keep a subset are its q^c recolorings: coloring j
-        # gives vertex i the color states[j, label[i]]
-        S = states[:size, label] @ powers
-        P[np.ix_(S, S)] += (prob[m[S], a] / size)[:, None]
+    for A in range(2**E):
+        S = (mask & A == A).nonzero()[0]
+        P[np.ix_(S, S)] += (prob[m[S], A.bit_count()] / S.size)[:, None]
     return P
 
 

@@ -117,7 +117,24 @@ def test_moments_exact_n_past_the_guard_exits_2(tmp_path, capsys):
     argv += ["--alpha", f"{third},{third},0.3333333333333334", "--no-psi2", "--exact-n", "600"]
     assert run_command(argv + ["--csv", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "guard violation: colour elimination touches 2.18e+08 entries, past the guard 5e+07\n"
+        "guard violation: colour elimination touches 7.33e+07 entries, past the guard 5e+07\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "delta, n",
+    [("3", "1000000000000000000000000000000"), ("3", "9223372036854775806"), ("4", "4611686018427387904")],
+)
+def test_moments_exact_n_past_exact_float_counts_exits_2(tmp_path, capsys, delta, n):
+    # n * alpha and delta * n would wrap in int64; the guard fires before any cast
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--model", "potts", "--q", "2", "--B", "2", "--delta", delta, "--alpha", "0.5,0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv + ["--no-psi2", "--exact-n", n, "--csv", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"guard violation: n = {n} at delta = {delta} passes 2^53 points, where float counts stop being exact\n"
     )
     assert not out.exists()
 

@@ -228,17 +228,26 @@ def test_first_moment_keeps_the_recursion_values():
 
 def test_first_moment_guard_boundary(monkeypatch):
     m = build_potts_matrix(3, 2.0)
-    # 49.7 M and 52.2 M entries against the 5e7 guard
-    assert _elimination_entries([366] * 3) <= moments.EXACT_MOMENT_GUARD < _elimination_entries([372] * 3)
-    assert first_moment_exact(366, 3, m, np.ones(3) / 3) > 0
-    with pytest.raises(SizeGuardError, match=r"^colour elimination touches 5.22e\+07 entries"):
-        first_moment_exact(372, 3, m, np.ones(3) / 3)
+    # 48.4 M and 50.0 M entries against the 5e7 guard
+    assert _elimination_entries([522] * 3) <= moments.EXACT_MOMENT_GUARD < _elimination_entries([528] * 3)
+    assert math.isfinite(moments._first_moment_log(522, 3, m, np.ones(3) / 3))
+    with pytest.raises(SizeGuardError, match=r"^colour elimination touches 5e\+07 entries"):
+        first_moment_exact(528, 3, m, np.ones(3) / 3)
     # the bound itself is admitted
     monkeypatch.setattr(moments, "EXACT_MOMENT_GUARD", _elimination_entries([6, 6, 6]))
     assert first_moment_exact(6, 3, m, np.ones(3) / 3) > 0
     monkeypatch.setattr(moments, "EXACT_MOMENT_GUARD", _elimination_entries([6, 6, 6]) - 1)
     with pytest.raises(SizeGuardError):
         first_moment_exact(6, 3, m, np.ones(3) / 3)
+
+
+def test_exact_moments_refuse_counts_past_exact_floats():
+    m = build_potts_matrix(2, 2.0)
+    for n, delta in [(2**53 + 2, 0), (2**52, 4), (2**62, 3)]:
+        with pytest.raises(SizeGuardError, match=rf"^n = {n} at delta = {delta} passes 2\^53 points"):
+            first_moment_exact(n, delta, m, [0.5, 0.5])
+    with pytest.raises(SizeGuardError, match=r"passes 2\^53 points"):
+        second_moment_exact(2**52, 4, m, [0.5, 0.5])
 
 
 def test_exact_moments_name_the_log_value_that_overflows():

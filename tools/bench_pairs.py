@@ -11,7 +11,9 @@ seed --seed + i.  Run length defaults to BENCHMARK.json's run_seconds.
 The output file, written to the change checkout, records the git state of both
 checkouts (HEAD, whether the tree has uncommitted changes, and a SHA-256 over
 the files under src/ so an uncommitted tree is still identified), the numpy
-version and CPU count, every run's result line, and per workload and side the
+version with its SIMD baseline and found dispatch targets, the
+OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES settings (null when unset), the
+CPU count, every run's result line, and per workload and side the
 median and quartiles of each end-to-end metric in BENCHMARK.json, with the
 pairs the change won, lost and tied.  Standard library only.
 """
@@ -46,6 +48,33 @@ def _source_state(checkout: Path) -> dict:
         "sha": _git(checkout, "rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
         "src_sha256": h.hexdigest(),
+    }
+
+
+_NUMPY_PROBE = """
+import json, numpy
+try:
+    from numpy._core import _multiarray_umath as m
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as m
+found = [f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)]
+print(json.dumps({"version": numpy.__version__, "baseline": list(m.__cpu_baseline__), "found": found}))
+"""
+
+
+def _host_state() -> dict:
+    """What moves the bits of a run on this host: the Python and numpy
+    versions, numpy's SIMD baseline and the dispatch targets it found, the
+    BLAS and SIMD overrides in the environment (None when unset) and the CPU
+    count."""
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout)
+    return {
+        "python": platform.python_version(),
+        "numpy": probe["version"],
+        "numpy_simd": {"baseline": probe["baseline"], "found": probe["found"]},
+        "env": {name: os.environ.get(name) for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")},
+        "cpu_count": os.cpu_count(),
     }
 
 
@@ -103,16 +132,11 @@ def main(argv=None) -> int:
             ap.error(f"--workload takes NAME:PAIRS with at least 2 pairs, got {spec!r}")
         plan.append((name, int(pairs)))
 
-    numpy_version = subprocess.run(
-        [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
-    ).stdout.strip()
     record = {
         "label": args.label,
         "parent": _source_state(parent),
         "change": _source_state(change),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "cpu_count": os.cpu_count(),
+        **_host_state(),
         "seconds": seconds,
         "workloads": {},
     }
