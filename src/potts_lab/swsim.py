@@ -281,10 +281,11 @@ def exact_sw_kernel(g: RegularGraph, q: int, B: float) -> np.ndarray:
     prob = np.zeros((E + 1, E + 1))
     for mm in range(E + 1):
         prob[mm, : mm + 1] = [keep_p**i * (1.0 - keep_p) ** (mm - i) for i in range(mm + 1)]
+    weight = prob[m]  # weight[s, a] = p^a (1-p)^(m(s)-a)
     P = np.zeros((len(states), len(states)))
     for A in range(2**E):
         S = (mask & A == A).nonzero()[0]
-        P[np.ix_(S, S)] += (prob[m[S], A.bit_count()] / S.size)[:, None]
+        P[S[:, None], S] += (weight[S, A.bit_count()] / S.size)[:, None]
     return P
 
 
