@@ -407,28 +407,39 @@ def graph_text(g: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph_fields(path, k: int, fields: list[str], form: str, types: tuple) -> tuple:
+    """fields read with types, or a ValueError naming path, line k and form."""
+    try:
+        if len(fields) != len(types):
+            raise ValueError
+        return tuple(t(f) for t, f in zip(types, fields))
+    except ValueError:
+        raise ValueError(f"{path}, line {k}: expected {form}, got {' '.join(fields)!r}") from None
+
+
 def read_graph(path) -> RegularGraph:
     """Parse the graph_text format; degrees are not checked (multigraphs,
-    gadgets and reductions all load)."""
+    gadgets and reductions all load).  A comment whose second word is 'role'
+    is a role line.  A header, edge or role line that does not parse raises
+    a ValueError naming the file, the line number and the expected form."""
     roles = {}
     edges = []
     header = None
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
+        for k, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts:
                 continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) == 4 and parts[1] == "role":
-                    roles[int(parts[2])] = parts[3]
+            if parts[0].startswith("#"):
+                if parts[:2] == ["#", "role"]:
+                    form = "a role line '# role v name' with an integer v"
+                    _, _, v, name = _graph_fields(path, k, parts, form, (str, str, int, str))
+                    roles[v] = name
                 continue
             if header is None:
-                n, delta = line.split()
-                header = (int(n), int(delta))
+                header = _graph_fields(path, k, parts, "a header 'n delta' of two integers", (int, int))
                 continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            edges.append(_graph_fields(path, k, parts, "an edge 'u v' of two integers", (int, int)))
     if header is None:
-        raise ValueError("empty graph file")
+        raise ValueError(f"{path}: empty graph file")
     return make_graph(header[0], header[1], edges, roles, strict=False)

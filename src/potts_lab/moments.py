@@ -385,7 +385,7 @@ def _edge_lattice_logsum(D: np.ndarray, logB: np.ndarray) -> float:
     entries = _elimination_entries(D)
     if entries > EXACT_MOMENT_GUARD:
         raise SizeGuardError(
-            f"colour elimination touches {entries:.3g} entries, past the guard {EXACT_MOMENT_GUARD:.3g}"
+            f"colour elimination touches {entries:.10g} entries, past the guard {EXACT_MOMENT_GUARD:.10g}"
         )
     logfact = np.zeros(max(D) + 1)
     logfact[1:] = np.cumsum(np.log(np.arange(1.0, max(D) + 1.0)))
@@ -635,23 +635,26 @@ def _as_potts(model: InteractionMatrix):
     return None
 
 
-def simplex_grid(q: int) -> np.ndarray:
-    """Lattice covering of the simplex with spacing SIMPLEX_STEP, coarsened to
-    stay under SIMPLEX_MAX_POINTS."""
+def simplex_interior(q: int) -> np.ndarray:
+    """The interior points of the lattice covering of the simplex with spacing
+    1/m, in lexicographic order.  m starts at 1/SIMPLEX_STEP and is coarsened
+    until the whole lattice stays under SIMPLEX_MAX_POINTS; from q = 11 on
+    m < q and the interior is empty."""
     m = max(1, round(1.0 / SIMPLEX_STEP))
     while math.comb(m + q - 1, q - 1) > SIMPLEX_MAX_POINTS:
         m -= 1
-    points = []
-
-    def rec(prefix, rem):
-        if len(prefix) == q - 1:
-            points.append(prefix + [rem])
-            return
-        for v in range(rem + 1):
-            rec(prefix + [v], rem - v)
-
-    rec([], m)
-    return np.array(points, dtype=float) / m
+    if m < q:
+        return np.empty((0, q))
+    # the compositions of m - q into q parts, one part at a time: a row with
+    # r left to place becomes r + 1 rows, whose next part runs 0..r
+    parts = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([m - q])
+    for _ in range(q - 1):
+        rows = np.repeat(np.arange(len(rest)), rest + 1)
+        part = np.arange(len(rows)) - np.repeat(np.cumsum(rest + 1) - (rest + 1), rest + 1)
+        parts = np.column_stack([parts[rows], part])
+        rest = rest[rows] - part
+    return (np.column_stack([parts, rest]) + 1) / m
 
 
 def all_fixpoints(model: InteractionMatrix, delta: int, seed: int = 0) -> list[Fixpoint]:
@@ -682,8 +685,7 @@ def moment_report(
 
     # safety net: a coarse scan of the ratio functional must not beat the
     # enumerated fixpoints
-    grid = simplex_grid(model.q)
-    pos = grid[np.all(grid > 0, axis=1)]
+    pos = simplex_interior(model.q)
     if len(pos):
         B = model.entries
         p = delta / (delta - 1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsys import InteractionMatrix, Signature, build_potts_matrix
+from .spinsys import InteractionMatrix, build_potts_matrix
 
 FIXPOINT_RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
@@ -57,21 +57,6 @@ class Fixpoint:
     @property
     def attractive(self) -> bool:
         return self.stability == ATTRACTIVE
-
-
-@dataclass(frozen=True)
-class JacobianReport:
-    matrix: np.ndarray
-    restricted_spectrum: np.ndarray
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    stability: str
-    hessian_eigen: np.ndarray
-    # Jacobian-attractive <-> Hessian-negative-definite is only guaranteed
-    # for ferromagnetic interactions
-    ferro_equivalence: bool
 
 
 @dataclass(frozen=True)
@@ -146,14 +131,10 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q), res
 
 
-def jacobian_matrix(model: InteractionMatrix, delta: int, fp: Fixpoint) -> JacobianReport:
-    """The symmetric map M at a fixpoint, with its restricted spectrum.
-
-    The restricted spectrum lives on the subspace sum_i sqrt(alpha_i) r_i = 0;
-    Jacobian eigenvalues are (Delta-1) times the restricted eigenvalues.
-    """
-    M, restricted, _ = _spectra(model, delta, fp.R[None])
-    return JacobianReport(matrix=M[0], restricted_spectrum=restricted[0])
+def jacobian_matrix(model: InteractionMatrix, delta: int, fp: Fixpoint) -> np.ndarray:
+    """The symmetric q x q map M at a fixpoint.  Its restricted spectrum, on
+    the subspace sum_i sqrt(alpha_i) r_i = 0, is fp.restricted_spectrum."""
+    return _spectra(model, delta, fp.R[None])[0][0]
 
 
 def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
@@ -164,17 +145,16 @@ def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
     ]
 
 
-def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> StabilityReport:
-    """The stability and Hessian eigenvalues stored on fp, once fp is checked
-    against (model, delta).  The residual check at the stored R, without
-    rescaling, rejects a fixpoint built at another activity; the spectrum
-    check rejects one whose stored spectrum belongs to another degree (the
-    uniform fixpoint is a fixpoint at every degree)."""
+def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> Fixpoint:
+    """fp itself, once it is checked against (model, delta); its stability
+    and hessian_eigen are the record.  The residual check at the stored R,
+    without rescaling, rejects a fixpoint built at another activity; the
+    spectrum check rejects one whose stored spectrum belongs to another
+    degree (the uniform fixpoint is a fixpoint at every degree)."""
     _check_fixpoints(_residuals(model, delta, fp.R))
     if not np.array_equal(fp.jacobian_eigen, (delta - 1) * fp.restricted_spectrum):
         raise ValueError(f"fixpoint spectrum was not computed at degree delta = {delta}")
-    ferro = model.signature is Signature.FERROMAGNETIC
-    return StabilityReport(stability=fp.stability, hessian_eigen=fp.hessian_eigen, ferro_equivalence=ferro)
+    return fp
 
 
 def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
@@ -268,11 +248,14 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     Scans a geometric grid on (1, 2^20) for sign changes of the fixpoint
     equation and refines by bisection; grid local minima are polished by
     golden section so that near-tangent root pairs are not missed.  Raises
-    when the equation is still negative at the last grid point where it is
-    finite, since the largest root then lies beyond the scan.
+    for a non-finite B, and when the equation is still negative at the last
+    grid point where it is finite, since the largest root then lies beyond
+    the scan.
     """
     if delta < 3:
         raise ValueError("need degree delta >= 3")
+    if not math.isfinite(B):
+        raise ValueError(f"activity B must be finite, got {B}")
     d = delta - 1
     target = B - 1.0
 

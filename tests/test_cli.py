@@ -117,7 +117,7 @@ def test_moments_exact_n_past_the_guard_exits_2(tmp_path, capsys):
     argv += ["--alpha", f"{third},{third},0.3333333333333334", "--no-psi2", "--exact-n", "600"]
     assert run_command(argv + ["--csv", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "guard violation: colour elimination touches 7.33e+07 entries, past the guard 5e+07\n"
+        "guard violation: colour elimination touches 73264304 entries, past the guard 50000000\n"
     )
     assert not out.exists()
 
@@ -293,6 +293,27 @@ def test_graph_file_rejects_role_vertex_outside_range(tmp_path, capsys):
     assert run_command(["graph", "cycles", "--graph", str(g), "--kmax", "4", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: role vertex 99 outside vertex range\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, k, message",
+    [
+        ("3\n0 1\n", 1, "a header 'n delta' of two integers, got '3'"),
+        ("3 2\n0 1 2\n", 2, "an edge 'u v' of two integers, got '0 1 2'"),
+        ("3 2\n0 1\n0 x\n", 3, "an edge 'u v' of two integers, got '0 x'"),
+        ("3 2\n\n0 1.5\n", 3, "an edge 'u v' of two integers, got '0 1.5'"),
+        ("3 2\n# role x rootPlus\n0 1\n", 2, "a role line '# role v name' with an integer v, got '# role x rootPlus'"),
+    ],
+    ids=["header", "edge-fields", "edge-vertex", "edge-float", "role"],
+)
+def test_graph_file_names_the_line_it_cannot_parse(tmp_path, capsys, text, k, message):
+    g = tmp_path / "bad.graph"
+    g.write_text(text)
+    for argv in (["graph", "cycles", "--kmax", "2"], ["sw", "exact", "--q", "3", "--B", "2"]):
+        out = tmp_path / "out.json"
+        assert run_command(argv + ["--graph", str(g), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {g}, line {k}: expected {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("header, edge", [("10000000000 3", "9999999999 0\n"), ("-1 3", "")], ids=["huge", "negative"])
@@ -817,6 +838,7 @@ def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, star
     [
         ("fixpoints --q 3 --delta 60 --B 1000", "not a fixpoint: tree-step residual nan"),
         ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint beyond the root scan"),
+        ("fixpoints --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
         ("phase-diagram --q 3 --delta 3 --B 1.05e6", "activity B = 1050000.0 puts a fixpoint beyond the root scan"),
         ("thresholds --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
         ("phase-diagram --q 3 --delta 600 --B 2", "the uniqueness polynomial overflows a float at delta = 600"),

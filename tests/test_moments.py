@@ -231,7 +231,9 @@ def test_first_moment_guard_boundary(monkeypatch):
     # 48.4 M and 50.0 M entries against the 5e7 guard
     assert _elimination_entries([522] * 3) <= moments.EXACT_MOMENT_GUARD < _elimination_entries([528] * 3)
     assert math.isfinite(moments._first_moment_log(522, 3, m, np.ones(3) / 3))
-    with pytest.raises(SizeGuardError, match=r"^colour elimination touches 5e\+07 entries"):
+    # the count is printed in full, so one just past the bound reads apart from it
+    message = r"^colour elimination touches 50045516 entries, past the guard 50000000$"
+    with pytest.raises(SizeGuardError, match=message):
         first_moment_exact(528, 3, m, np.ones(3) / 3)
     # the bound itself is admitted
     monkeypatch.setattr(moments, "EXACT_MOMENT_GUARD", _elimination_entries([6, 6, 6]))
@@ -448,6 +450,37 @@ def test_orbit_matches_loop_reference():
         want = _loop_orbit(alpha)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _loop_simplex_grid(q):
+    """Reference: the whole lattice covering of the simplex, point by point
+    in lexicographic order, at the spacing simplex_interior coarsens to."""
+    m = max(1, round(1.0 / moments.SIMPLEX_STEP))
+    while math.comb(m + q - 1, q - 1) > moments.SIMPLEX_MAX_POINTS:
+        m -= 1
+    points = []
+
+    def rec(prefix, rem):
+        if len(prefix) == q - 1:
+            points.append(prefix + [rem])
+            return
+        for v in range(rem + 1):
+            rec(prefix + [v], rem - v)
+
+    rec([], m)
+    return np.array(points, dtype=float) / m
+
+
+def test_simplex_interior_matches_loop_reference():
+    # the reference walks up to 2e5 lattice points per q in Python, so it runs
+    # up to q = 11, the first q whose interior is empty
+    for q in range(2, 12):
+        grid = _loop_simplex_grid(q)
+        want = grid[np.all(grid > 0, axis=1)]
+        got = moments.simplex_interior(q)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    for q in range(12, 33):
+        assert moments.simplex_interior(q).shape == (0, q)
 
 
 @pytest.mark.parametrize("q,delta", [(3, 3), (5, 4), (8, 6)])

@@ -23,3 +23,8 @@ def test_bench_pairs_records_what_moves_the_bits(monkeypatch):
     simd = host["numpy_simd"]
     assert set(simd) == {"baseline", "found"}
     assert all(isinstance(f, str) for f in simd["baseline"] + simd["found"])
+
+
+def test_bench_pairs_reference_rate_is_a_positive_finite_rate():
+    rate = _load_tool()._reference_rate()
+    assert isinstance(rate, float) and 0 < rate < float("inf")

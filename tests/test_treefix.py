@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from potts_lab import moments, treefix
+from potts_lab import graphs, moments, swsim, treefix
 from potts_lab.spinsys import build_potts_matrix, interaction_matrix
 from potts_lab.treefix import (
     ATTRACTIVE,
@@ -86,11 +86,10 @@ def test_jacobian_uniform_spectrum():
     q, B, delta = 3, 3.5, 3
     m = build_potts_matrix(q, B)
     fp = make_fixpoint(m, delta, np.ones(q))
-    rep = jacobian_matrix(m, delta, fp)
-    assert np.allclose(rep.restricted_spectrum, (B - 1) / (B + q - 1), atol=1e-12)
+    assert np.allclose(fp.restricted_spectrum, (B - 1) / (B + q - 1), atol=1e-12)
     # the square-root-of-alpha vector is an exact eigenvector with eigenvalue 1
     e = np.sqrt(fp.alpha)
-    assert np.max(np.abs(rep.matrix @ e - e)) < 1e-10
+    assert np.max(np.abs(jacobian_matrix(m, delta, fp) @ e - e)) < 1e-10
 
 
 def test_jacobian_two_value_spectrum():
@@ -100,7 +99,6 @@ def test_jacobian_two_value_spectrum():
         t, x = fp.potts_structure
         if not (1 <= t <= q - 1):
             continue
-        rep = jacobian_matrix(m, delta, fp)
         R = fp.R
         BR = m.entries @ R
         alpha = R * BR / np.sum(R * BR)
@@ -112,7 +110,7 @@ def test_jacobian_two_value_spectrum():
             - 1.0
         )
         want = sorted([lam_top] * (t - 1) + [lam_bot] * (q - t - 1) + [trace_resid])
-        assert np.allclose(np.sort(rep.restricted_spectrum), want, atol=1e-10)
+        assert np.allclose(np.sort(fp.restricted_spectrum), want, atol=1e-10)
 
 
 def test_jacobian_rejects_non_fixpoint():
@@ -141,7 +139,7 @@ def test_batched_fixpoints_match_one_row_calls(q, delta, B):
     assert len(fps) > 1
     for fp in fps:
         assert fp.jacobian_eigen.tobytes() == ((delta - 1) * fp.restricted_spectrum).tobytes()
-        assert jacobian_matrix(m, delta, fp).restricted_spectrum.tobytes() == fp.restricted_spectrum.tobytes()
+        assert treefix._spectra(m, delta, fp.R[None])[1][0].tobytes() == fp.restricted_spectrum.tobytes()
         t, x = fp.potts_structure
         one = make_fixpoint(m, delta, np.concatenate([np.full(t, x), np.ones(q - t)]), (t, x))
         for a, b in [
@@ -184,9 +182,8 @@ def test_hessian_equivalence_sample():
     for q, delta, B in [(3, 3, 3.9), (4, 4, 3.1), (5, 3, 7.0)]:
         m = build_potts_matrix(q, B)
         for fp in potts_fixpoints(q, delta, B):
-            rep = classify_stability(m, delta, fp)
-            assert rep.ferro_equivalence
-            assert (fp.stability == ATTRACTIVE) == bool(np.all(rep.hessian_eigen < 0))
+            assert classify_stability(m, delta, fp) is fp
+            assert (fp.stability == ATTRACTIVE) == bool(np.all(fp.hessian_eigen < 0))
 
 
 def test_middle_t_fixpoints_unstable():
@@ -244,6 +241,21 @@ def test_root_scan_rejects_an_activity_beyond_its_grid():
         with pytest.raises(ValueError, match="beyond the root scan"):
             potts_fixpoints(q, delta, B)
     assert moments.potts_phase_diagram(3, 3, 1e6).regime == "ordered-only"
+
+
+def test_root_scan_rejects_a_non_finite_activity():
+    reaching_the_scan = [
+        treefix.majority_ratio,
+        majority_fixpoint,
+        ordered_root_marginal,
+        moments.dif_value,
+        lambda q, delta, B: two_value_roots(q, delta, B, 1),
+    ]
+    past_a_b_check = [potts_fixpoints, graphs.reduction_constants, swsim.expected_mono, swsim.ordered_phase_vector]
+    for B in (math.inf, -math.inf, math.nan):
+        for f in reaching_the_scan + (past_a_b_check if B == math.inf else []):
+            with pytest.raises(ValueError, match=f"activity B must be finite, got {B}"):
+                f(3, 3, B)
 
 
 def test_thresholds_closed_forms():

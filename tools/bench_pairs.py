@@ -15,7 +15,14 @@ version with its SIMD baseline and found dispatch targets, the
 OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES settings (null when unset), the
 CPU count, every run's result line, and per workload and side the
 median and quartiles of each end-to-end metric in BENCHMARK.json, with the
-pairs the change won, lost and tied.  Standard library only.
+pairs the change won, lost and tied.
+
+The host's speed drifts between sessions, so right before each run a fresh
+process times a fixed single-threaded numpy kernel (REFERENCE_SORTS sorts of
+one fixed-seed 2^20-element float64 array) and the run records that rate in
+sorts per second; the summary holds its median and quartiles per side, by
+which files written on different days can be normalised.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -78,6 +85,24 @@ def _host_state() -> dict:
     }
 
 
+REFERENCE_SORTS = 32
+_REFERENCE_PROBE = f"""
+import json, time, numpy
+x = numpy.random.Generator(numpy.random.Philox(key=0)).random(2**20)
+numpy.sort(x)  # first touch of the kernel and the pages, untimed
+t = time.perf_counter()
+for _ in range({REFERENCE_SORTS}):
+    numpy.sort(x)
+print(json.dumps({REFERENCE_SORTS} / (time.perf_counter() - t)))
+"""
+
+
+def _reference_rate() -> float:
+    """Sorts per second of the fixed reference kernel, timed in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", _REFERENCE_PROBE], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -88,16 +113,20 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def _quartiles(values: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
 def _summary(runs: list[dict], metrics: dict) -> dict:
-    out = {}
+    out = {
+        "reference_sorts_per_s": {
+            side: _quartiles([r["reference_rate"] for r in runs if r["side"] == side]) for side in ("parent", "change")
+        }
+    }
     for name, better in metrics.items():
         value = {(r["pair"], r["side"]): r["result"]["metrics"][name]["value"] for r in runs}
-        sides = {}
-        for side in ("parent", "change"):
-            q1, med, q3 = statistics.quantiles(
-                [v for (_, s), v in value.items() if s == side], n=4, method="inclusive"
-            )
-            sides[side] = {"median": med, "q1": q1, "q3": q3}
+        sides = {side: _quartiles([v for (_, s), v in value.items() if s == side]) for side in ("parent", "change")}
         pairs = sorted({pair for pair, _ in value})
         sign = -1.0 if better == "lower" else 1.0
         gains = [sign * (value[i, "change"] - value[i, "parent"]) for i in pairs]
@@ -146,10 +175,15 @@ def main(argv=None) -> int:
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
+                reference = _reference_rate()
                 result = _run(parent if side == "parent" else change, name, seed, seconds)
-                runs.append({"pair": i, "side": side, "seed": seed, "result": result})
+                runs.append({"pair": i, "side": side, "seed": seed, "reference_rate": reference, "result": result})
                 rate = result["metrics"]["work_per_s"]["value"]
-                print(f"{name} pair {i} {side}: work_per_s {rate:.6g}, failed {result['failed']}", flush=True)
+                print(
+                    f"{name} pair {i} {side}: work_per_s {rate:.6g}, failed {result['failed']}, "
+                    f"reference {reference:.4g} sorts/s",
+                    flush=True,
+                )
         record["workloads"][name] = {
             "pairs": pairs,
             "failed": {s: sum(r["result"]["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")},
