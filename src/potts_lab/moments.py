@@ -561,10 +561,12 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
         raise ValueError("phase diagram covers the ferromagnetic regime B > 1")
     th = potts_thresholds(q, delta)
     model = build_potts_matrix(q, B)
-    # the uniform and (above Bu) the majority fixpoint, built in one batched pass
-    x = treefix.majority_ratio(q, delta, B)
-    fps = treefix.two_value_fixpoints(model, delta, [(q, 1.0)] + ([] if x is None else [(1, x)]))
-    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp) for fp in fps]
+    # the uniform fixpoint comes first and the majority one (above Bu) is the
+    # t = 1 fixpoint of largest x, which potts_fixpoints lists last of its t
+    fps = treefix.potts_fixpoints(q, delta, B)
+    majority = [fp for fp in fps if fp.potts_structure[0] == 1][-1:]
+    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp) for fp in fps[:1] + majority]
+    x = majority[0].potts_structure[1] if majority else None
     dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
     if x is not None:
         dif = _dif_of_ratio(q, delta, x)

@@ -17,12 +17,14 @@ an exact transition kernel for tiny instances with its row-blocked error
 check, and conductance evaluation for the phase cut, the states whose
 dominant color is a given one.  The exact kernel sums subset by subset over
 one bitmask per state of its monochromatic edges, with no `components` call,
-within EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS subsets.  An
-activity that is not a finite B >= 1 is rejected before any work.
+within EXACT_KERNEL_GUARD states and EXACT_KERNEL_SUBSETS subsets.  The
+chains and the kernel reject an activity that is not a finite B >= 1, and the
+reference statistics one that is not a finite B > 0, before any work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +132,12 @@ def _reference(q: int, delta: int, B: float):
     """(E_u, E_m, vec) from one majority fixpoint: the per-vertex expected
     monochromatic edge counts of the disordered and ordered phases and the
     color-0 ordered phase vector.  E_m and vec are None below the uniqueness
-    threshold, where no majority fixpoint exists."""
+    threshold, where no majority fixpoint exists.  Raises for an activity
+    that is not finite and positive, before any arithmetic."""
+    if not math.isfinite(B):
+        raise ValueError(f"activity B must be finite, got {B}")
+    if not B > 0:
+        raise ValueError(f"activity B must be positive, got {B}")
     E_u = 0.5 * delta * B / (q + B - 1.0)
     fp = treefix.majority_fixpoint(q, delta, B) if B > 1 else None
     if fp is None:

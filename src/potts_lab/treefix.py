@@ -34,9 +34,11 @@ FIND_FIXPOINT_STARTS = 200
 # floating-point states of canonicalising a row whose quadratic form is zero or overflows
 _UNSCALABLE = dict(divide="ignore", over="ignore", invalid="ignore")
 
-# two_value_roots' scan grid on (1, 2^20), shared read-only by every call
+# two_value_roots' scan grid on (1, 2^20) and its y - 1, shared read-only by every call
 _Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
 _Y_GRID.flags.writeable = False
+_Y_GRID_M1 = _Y_GRID - 1.0
+_Y_GRID_M1.flags.writeable = False
 
 ATTRACTIVE = "attractive"
 UNSTABLE = "unstable"
@@ -67,9 +69,21 @@ class PottsThresholds:
 
 
 def canonical(model: InteractionMatrix, R) -> np.ndarray:
-    """Rescale R (or each row of a stack of them) so that sum_ij B_ij R_i R_j = 1."""
+    """Rescale R (or each row of a stack of them) so that sum_ij B_ij R_i R_j = 1.
+
+    A row whose quadratic form overflows a float is first divided by its max
+    and its form taken again; every other row keeps the bits of one division
+    by the square root of its form.  The overflowing product still raises
+    numpy's overflow warning unless the caller silences it, as
+    make_fixpoints does."""
     R = np.asarray(R, dtype=float)
-    return R / np.sqrt(R[..., None, :] @ model.entries @ R[..., :, None])[..., 0]
+    form = (R[..., None, :] @ model.entries @ R[..., :, None])[..., 0]
+    if not math.isfinite(form.sum()):
+        over = np.isposinf(form)
+        with np.errstate(**_UNSCALABLE):
+            R = np.where(over, R / R.max(axis=-1, keepdims=True), R)
+            form = np.where(over, (R[..., None, :] @ model.entries @ R[..., :, None])[..., 0], form)
+    return R / np.sqrt(form)
 
 
 def tree_step(model: InteractionMatrix, delta: int, R) -> np.ndarray:
@@ -165,10 +179,13 @@ def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> 
     with np.errstate(**_UNSCALABLE):
         R = canonical(model, R)
         _, restricted, residual = _spectra(model, delta, R)
-    R.flags.writeable = False
     jac = (delta - 1) * restricted
     hessian = (1.0 + restricted) * (jac - 1.0)
     alpha = alpha_from_ratio(delta, R)
+    # a Fixpoint may be shared (potts_fixpoints keeps its last enumeration),
+    # so no caller can write to its arrays
+    for a in (R, alpha, jac, restricted, hessian):
+        a.flags.writeable = False
     if structures is None:
         structures = [None] * len(R)
     # each zipped row lists a Fixpoint's fields in declaration order
@@ -234,12 +251,15 @@ def _activity_of_ratio(y: float, q: int, d: int, t: int) -> float:
 
 
 @functools.cache
-def _grid_power(d: int) -> np.ndarray:
-    """_Y_GRID**d, read-only and shared by every two_value_roots call at degree d + 1."""
+def _grid_power(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """_Y_GRID**d and _Y_GRID**d - _Y_GRID, read-only and shared by every
+    two_value_roots call at degree d + 1."""
     with np.errstate(over="ignore"):
         yd = _Y_GRID**d
+        denom = yd - _Y_GRID
     yd.flags.writeable = False
-    return yd
+    denom.flags.writeable = False
+    return yd, denom
 
 
 def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
@@ -262,19 +282,21 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     def g(y):
         return _activity_of_ratio(y, q, d, t) - target
 
-    yd = _grid_power(d)
+    yd, denom = _grid_power(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        gs = (_Y_GRID - 1.0) * (t * yd + q - t) / (yd - _Y_GRID) - target
+        gs = _Y_GRID_M1 * (t * yd + q - t) / denom - target
         crossing = gs[:-1] * gs[1:] < 0
     if gs[np.isfinite(gs)][-1] < 0:
         raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
     roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
     for i in np.nonzero(crossing)[0]:
         roots.append(_bisect(g, float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
-    # near-tangency: a positive local grid minimum may hide a root pair
-    mid = gs[1:-1]
-    tangent = (mid > 0) & (mid <= gs[:-2]) & (mid <= gs[2:]) & (mid < 1e-3)
-    for i in np.nonzero(tangent)[0] + 1:
+    # near-tangency: a positive local grid minimum below 1e-3 may hide a root
+    # pair; only the few interior points in (0, 1e-3) are compared with their
+    # neighbours
+    near = np.flatnonzero((gs[1:-1] > 0) & (gs[1:-1] < 1e-3)) + 1
+    tangent = near[(gs[near] <= gs[near - 1]) & (gs[near] <= gs[near + 1])]
+    for i in tangent:
         ymin = _golden_min(g, float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1]))
         gmin = g(ymin)
         if gmin < 0:
@@ -296,14 +318,24 @@ def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
     Returns the uniform fixpoint first, then one representative per orbit of
     two-value fixpoints (t large coordinates with ratio x > 1), ordered by t
     and, within each t, by increasing x.  All are built in one batched pass.
+
+    The last enumeration is kept: a second call at the same (q, delta, B),
+    such as the phase diagram's followed by a caller's own, returns a new
+    list of the same read-only Fixpoint objects.  A call that raises is not
+    kept.
     """
+    return list(_potts_fixpoints(q, delta, B))
+
+
+@functools.lru_cache(maxsize=1)
+def _potts_fixpoints(q: int, delta: int, B: float) -> tuple[Fixpoint, ...]:
     if not B > 1:
         raise ValueError("Potts fixpoint enumeration expects the ferromagnetic regime B > 1")
     d = delta - 1
     structures = [(q, 1.0)] + [
         (t, y**d) for t in range(1, q) for y in two_value_roots(q, delta, B, t)
     ]
-    return two_value_fixpoints(build_potts_matrix(q, B), delta, structures)
+    return tuple(two_value_fixpoints(build_potts_matrix(q, B), delta, structures))
 
 
 def majority_ratio(q: int, delta: int, B: float) -> float | None:

@@ -836,7 +836,6 @@ def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, star
 @pytest.mark.parametrize(
     "argv,message",
     [
-        ("fixpoints --q 3 --delta 60 --B 1000", "not a fixpoint: tree-step residual nan"),
         ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint beyond the root scan"),
         ("fixpoints --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
         ("phase-diagram --q 3 --delta 3 --B 1.05e6", "activity B = 1050000.0 puts a fixpoint beyond the root scan"),
@@ -854,6 +853,19 @@ def test_out_of_range_inputs_are_one_error_line(tmp_path, capsys, argv, message)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_fixpoints_store_a_majority_row_whose_quadratic_form_overflows(tmp_path):
+    # x = y^59 ~ 1e177 at Delta = 60, so x B x overflows a float; canonical
+    # rescales that row by its max first and the enumeration is complete
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, path = run_to_file(tmp_path, "fp.json", ["fixpoints", "--q", "3", "--delta", "60", "--B", "1000"])
+    assert rc == 0
+    fps = json.loads(path.read_text())["fixpoints"]
+    assert [fp["t"] for fp in fps] == [3, 1, 2]
+    assert all(fp["residual"] < 1e-10 for fp in fps)
+    assert fps[1]["x"] > 1e170 and fps[1]["stability"] == "attractive"
 
 
 def test_sweep_thresholds_records_the_overflowing_degree(tmp_path):

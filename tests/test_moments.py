@@ -510,6 +510,56 @@ def test_phase_diagram_hessians_are_classify_stability_bits(q, delta):
             assert np.array(ph.hessian_eigen).tobytes() == want[is_uniform].tobytes()
 
 
+def _two_row_phase_diagram(q, delta, B):
+    """The phase diagram built from its own t = 1 root scan and a batched
+    pass over the uniform and majority rows alone: the referee for the
+    diagram that reads potts_fixpoints."""
+    th = treefix.potts_thresholds(q, delta)
+    model = build_potts_matrix(q, B)
+    x = treefix.majority_ratio(q, delta, B)
+    fps = treefix.two_value_fixpoints(model, delta, [(q, 1.0)] + ([] if x is None else [(1, x)]))
+    uniform, *ordered = [moments._phase_from_fixpoint(model, delta, fp) for fp in fps]
+    dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
+    if x is not None:
+        dif = moments._dif_of_ratio(q, delta, x)
+        psi1_max = max(uniform.psi1, ordered[0].psi1)
+        ordered_orbit = _orbit(moments._with_dominance(ordered[0], psi1_max))
+    uniform = moments._with_dominance(uniform, psi1_max)
+    if x is not None and abs(B - th.Bo) <= 1e-9:
+        regime, dominant = "coexistence", [uniform] + ordered_orbit
+    elif x is None or B < th.Bu:
+        regime, dominant = "disordered-only", [uniform]
+    elif B < th.Bo:
+        regime, dominant = "disordered-dominant", [uniform]
+    else:
+        regime, dominant = ("ordered-dominant" if B < th.Brc else "ordered-only"), ordered_orbit
+    local = ([uniform] if uniform.local_max or regime != "ordered-only" else []) + ordered_orbit
+    return moments.PhaseDiagram(regime=regime, dif=dif, thresholds=th, local_maxima=local, dominant=dominant)
+
+
+def _diagram_bits(pd):
+    def phase(ph):
+        return (
+            ph.alpha.dtype.str, ph.alpha.tobytes(), np.float64(ph.psi1).tobytes(),
+            np.array(ph.hessian_eigen).tobytes(),
+            ph.local_max, ph.hessian_local_max, ph.dominant, ph.hessian_dominant,
+        )
+
+    return (
+        pd.regime, np.float64(pd.dif).tobytes(), pd.thresholds,
+        [phase(ph) for ph in pd.local_maxima], [phase(ph) for ph in pd.dominant],
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 10, 32])
+def test_phase_diagram_matches_its_two_row_referee(q):
+    for delta in (3, 6):
+        th = treefix.potts_thresholds(q, delta)
+        for B in (th.Bu - 1e-10, th.Bu + 1e-10, th.Bo, th.Brc, 2 * th.Brc):
+            treefix._potts_fixpoints.cache_clear()
+            assert _diagram_bits(potts_phase_diagram(q, delta, B)) == _diagram_bits(_two_row_phase_diagram(q, delta, B))
+
+
 def _phase_query_digest() -> str:
     """SHA-256 over every phase-query output on the q, delta in 3..10 grid at
     the 20 B values np.linspace(1.05, 2 Brc, 20) of each (q, delta)."""

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ def test_default_epsilon_positive():
     th = potts_thresholds(6, 3)
     eps = default_epsilon(6, 3, th.Bo)
     assert 0 < eps < 0.5
+
+
+def test_reference_statistics_reject_bad_activities():
+    g = pairing_sample(12, 3, seed=2)
+    colors = np.zeros(12, dtype=np.int64)
+    calls = [
+        lambda B: expected_mono(6, 3, B),
+        lambda B: default_epsilon(6, 3, B),
+        lambda B: ordered_phase_vector(6, 3, B),
+        lambda B: classify_UMT(colors, g, 6, 3, B, eps=0.1),
+    ]
+    cases = [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (0.0, "positive"), (-5.0, "positive")]
+    for B, what in cases:
+        for f in calls:
+            with pytest.raises(ValueError, match=f"activity B must be {what}, got {B}"):
+                f(B)
 
 
 def test_classify_umt_finds_the_majority_fixpoint_once(monkeypatch):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,3 +29,38 @@ def test_bench_pairs_records_what_moves_the_bits(monkeypatch):
 def test_bench_pairs_reference_rate_is_a_positive_finite_rate():
     rate = _load_tool()._reference_rate()
     assert isinstance(rate, float) and 0 < rate < float("inf")
+
+
+def test_bench_pairs_measures_peak_rss_at_an_equal_op_count():
+    root = TOOL.parents[1]
+    probe = _load_tool()._rss_at_ops(root, "phase-grid", 100, 64)
+    assert (probe["ops"], probe["failed"]) == (64, 0)
+    assert isinstance(probe["peak_rss_mb"], float) and 0 < probe["peak_rss_mb"] < 1024
+
+
+def test_bench_pairs_probes_both_sides_at_the_fewest_attempted_ops(tmp_path, monkeypatch):
+    tool = _load_tool()
+    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    attempted = iter([70, 64, 81, 66])
+    metrics = {name: {"value": 1.0} for name in ("setup_s", "work_per_s", "op_p50_ms", "peak_rss_mb")}
+    monkeypatch.setattr(tool, "_reference_rate", lambda: 1.0)
+    monkeypatch.setattr(tool, "_run", lambda *a: {"attempted": next(attempted), "failed": 0, "metrics": metrics})
+    probes = []
+
+    def probe(checkout, workload, seed, n_ops):
+        probes.append((checkout, workload, seed, n_ops))
+        return {"ops": n_ops, "failed": 0, "peak_rss_mb": 40.0 + len(probes)}
+
+    monkeypatch.setattr(tool, "_rss_at_ops", probe)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    args = ["--parent", str(parent), "--change", str(tmp_path), "--label", "t", "--workload", "phase-grid:2", "--seed", "7"]
+    assert tool.main(args) == 0
+    assert probes == [(parent, "phase-grid", 7, 64), (tmp_path, "phase-grid", 7, 64)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["workloads"]["phase-grid"]["peak_rss_at_equal_ops"] == {
+        "ops": 64,
+        "seed": 7,
+        "parent": {"ops": 64, "failed": 0, "peak_rss_mb": 41.0},
+        "change": {"ops": 64, "failed": 0, "peak_rss_mb": 42.0},
+    }

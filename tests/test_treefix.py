@@ -210,12 +210,15 @@ def test_thresholds_cache_keeps_values_and_never_caches_a_rejection():
 
 
 def test_grid_power_is_cached_read_only_and_exact():
+    assert not treefix._Y_GRID_M1.flags.writeable
+    assert treefix._Y_GRID_M1.tobytes() == (treefix._Y_GRID - 1.0).tobytes()
     for d in (2, 5, 9, 70):  # 70 overflows to inf at the top of the grid
-        yd = treefix._grid_power(d)
-        assert yd is treefix._grid_power(d)
-        assert not yd.flags.writeable
+        yd, denom = treefix._grid_power(d)
+        assert treefix._grid_power(d) is treefix._grid_power(d)
+        assert not yd.flags.writeable and not denom.flags.writeable
         with np.errstate(over="ignore"):
             assert np.array_equal(yd, treefix._Y_GRID**d)
+            assert np.array_equal(denom, treefix._Y_GRID**d - treefix._Y_GRID)
 
 
 def test_thresholds_reject_an_overflowing_degree():
@@ -227,11 +230,75 @@ def test_thresholds_reject_an_overflowing_degree():
 
 
 def test_nan_residual_is_not_a_fixpoint():
-    # x = y^59 is finite but x B x overflows in canonical, so every residual is NaN
+    # x = y^59 is finite but x B x overflows a float: canonical rescales that
+    # row by its max first, so the majority fixpoint is stored
+    fps = potts_fixpoints(3, 60, 1000.0)
+    assert len(fps) == 3
+    assert all(fp.residual < 1e-10 for fp in fps)
+    assert np.isfinite(fps[-1].R).all() and fps[-1].potts_structure[1] > 1e152
+    # a zero row has a zero form, which no rescaling mends
     with pytest.raises(ValueError, match="not a fixpoint: tree-step residual nan"):
-        potts_fixpoints(3, 60, 1000.0)
+        treefix.make_fixpoints(build_potts_matrix(3, 2.0), 3, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="not a fixpoint"):
         treefix._check_fixpoints(np.array([0.0, np.nan]))
+
+
+def test_canonical_rescales_only_overflowing_rows():
+    m = build_potts_matrix(3, 1000.0)
+    rows = np.array([[2.0, 1.0, 1.0], [1e160, 1.0, 1.0], [0.5, 0.25, 3.0]])
+    with np.errstate(over="ignore"):
+        got = canonical(m, rows)
+    for k in (0, 2):
+        assert got[k].tobytes() == canonical(m, rows[k]).tobytes()
+        assert got[k].tobytes() == (rows[k] / math.sqrt(rows[k] @ m.entries @ rows[k])).tobytes()
+    scaled = rows[1] / 1e160
+    assert got[1].tobytes() == (scaled / math.sqrt(scaled @ m.entries @ scaled)).tobytes()
+    assert abs(got[1] @ m.entries @ got[1] - 1.0) < 1e-15
+
+
+def test_potts_fixpoints_keeps_its_last_enumeration():
+    treefix._potts_fixpoints.cache_clear()
+    first = potts_fixpoints(5, 4, 3.0)
+    again = potts_fixpoints(5, 4, 3.0)
+    # a new list each call, holding the same Fixpoint objects
+    assert again is not first and again == first
+    assert all(a is b for a, b in zip(first, again))
+    for fp in first:
+        for a in (fp.R, fp.alpha, fp.jacobian_eigen, fp.restricted_spectrum, fp.hessian_eigen):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # a caller's list is its own
+    again.append(None)
+    assert potts_fixpoints(5, 4, 3.0) == first
+    # a call that raises is not kept, and does not evict the last enumeration
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beyond the root scan"):
+            potts_fixpoints(3, 3, 1.05e6)
+    assert all(a is b for a, b in zip(potts_fixpoints(5, 4, 3.0), first))
+    # alternating keys recompute, to the same bits
+    other = potts_fixpoints(5, 4, 4.0)
+    back = potts_fixpoints(5, 4, 3.0)
+    assert back[0] is not first[0] and potts_fixpoints(5, 4, 4.0)[0] is not other[0]
+    for a, b in zip(back, first):
+        assert (a.R.tobytes(), a.hessian_eigen.tobytes(), a.residual) == (b.R.tobytes(), b.hessian_eigen.tobytes(), b.residual)
+
+
+def test_phase_query_enumerates_fixpoints_once(monkeypatch):
+    """A phase diagram followed by potts_fixpoints at the same activity scans
+    each t once and builds the fixpoints in one batched pass."""
+    scans, passes = [], []
+    real_roots, real_make = treefix.two_value_roots, treefix.make_fixpoints
+    monkeypatch.setattr(treefix, "two_value_roots", lambda *a: scans.append(a) or real_roots(*a))
+    monkeypatch.setattr(treefix, "make_fixpoints", lambda *a: passes.append(a) or real_make(*a))
+    for q, delta, B in [(3, 3, 4.5), (6, 4, 5.0), (10, 5, 1.5)]:
+        scans.clear()
+        passes.clear()
+        treefix._potts_fixpoints.cache_clear()
+        pd = moments.potts_phase_diagram(q, delta, B)
+        potts_fixpoints(q, delta, B)
+        assert pd.local_maxima
+        assert [a[3] for a in scans] == list(range(1, q)) and len(passes) == 1
 
 
 def test_root_scan_rejects_an_activity_beyond_its_grid():

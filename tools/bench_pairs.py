@@ -21,8 +21,15 @@ The host's speed drifts between sessions, so right before each run a fresh
 process times a fixed single-threaded numpy kernel (REFERENCE_SORTS sorts of
 one fixed-seed 2^20-element float64 array) and the run records that rate in
 sorts per second; the summary holds its median and quartiles per side, by
-which files written on different days can be normalised.  Standard library
-only.
+which files written on different days can be normalised.
+
+A run keeps a little state per completed op, so its peak_rss_mb grows with
+the ops it completes, and a faster side reads as using more memory.  After a
+workload's pairs, each checkout therefore runs that workload once more in a
+fresh process, with the BLAS thread variables pinned to 1: the same setup
+rounds as a run, then perfbench's own measure() for exactly N ops, N being
+the fewest ops any of the workload's runs attempted, and the file records
+each side's peak RSS at that equal op count.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,6 +108,35 @@ def _reference_rate() -> float:
     """Sorts per second of the fixed reference kernel, timed in a fresh process."""
     done = subprocess.run([sys.executable, "-c", _REFERENCE_PROBE], capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+_RSS_PROBE = """
+import json, os, resource, sys
+sys.path.insert(0, "perfbench")
+import run
+for v in run.THREAD_VARS:  # before numpy loads, as run.main() does
+    os.environ[v] = "1"
+run.import_potts_lab()
+import workloads
+from spans import NullTracer
+name, seed, n_ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+wl = workloads.WORKLOADS[name](seed)
+for _ in range(run.SETUP_REPEATS):
+    wl.setup()
+m = run.measure(wl, NullTracer(), n_ops=n_ops)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"ops": m.ops, "failed": len(m.failures), "peak_rss_mb": rss}))
+"""
+
+
+def _rss_at_ops(checkout: Path, workload: str, seed: int, n_ops: int) -> dict:
+    """Peak RSS in MB (ru_maxrss) of one fresh process in the checkout that
+    sets the workload up as a run does and then runs exactly n_ops ops."""
+    cmd = [sys.executable, "-c", _RSS_PROBE, workload, str(seed), str(n_ops)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"peak RSS probe of {workload} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -184,10 +220,16 @@ def main(argv=None) -> int:
                     f"reference {reference:.4g} sorts/s",
                     flush=True,
                 )
+        n_ops = min(r["result"]["attempted"] for r in runs)
+        rss = {"ops": n_ops, "seed": args.seed}
+        for side in ("parent", "change"):
+            rss[side] = _rss_at_ops(parent if side == "parent" else change, name, args.seed, n_ops)
+            print(f"{name} {side}: peak_rss_mb {rss[side]['peak_rss_mb']:.4g} at {n_ops} ops", flush=True)
         record["workloads"][name] = {
             "pairs": pairs,
             "failed": {s: sum(r["result"]["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")},
             "summary": _summary(runs, metrics),
+            "peak_rss_at_equal_ops": rss,
             "runs": runs,
         }
     out = change / f"BENCH_{args.label}.json"
