@@ -545,11 +545,13 @@ def _orbit(ph: Phase) -> list[Phase]:
     """The q color permutations of an ordered phase (distinct rolls)."""
     q = len(ph.alpha)
     rolls = ph.alpha[(np.arange(q) - np.arange(q)[:, None]) % q]  # row i: np.roll(alpha, i)
-    # close[i, k] is np.allclose(rolls[i], rolls[k]): |a - b| <= 1e-8 + 1e-5 |b|
-    close = np.all(np.abs(rolls[:, None] - rolls[None]) <= 1e-8 + 1e-5 * np.abs(rolls[None]), axis=2)
+    # close[k] is np.allclose(rolls[0], rolls[k]): |a - b| <= 1e-8 + 1e-5 |b|.
+    # Rolling both by i compares the same pairs of numbers, so
+    # np.allclose(rolls[i], rolls[k]) is close[(k - i) % q]
+    close = np.all(np.abs(rolls[0] - rolls) <= 1e-8 + 1e-5 * np.abs(rolls), axis=1).tolist()
     kept: list[int] = []
     for i in range(q):
-        if not close[i, kept].any():
+        if not any(close[(k - i) % q] for k in kept):
             kept.append(i)
     return [replace(ph, alpha=rolls[i]) for i in kept]
 

@@ -200,8 +200,9 @@ def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None)
 def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> list[Fixpoint]:
     """Potts fixpoints with t coordinates at ratio x and the rest at 1, one per
     (t, x) in structures, built in one batched pass."""
-    q = model.q
-    R = np.array([np.concatenate([np.full(t, x), np.ones(q - t)]) for t, x in structures])
+    R = np.ones((len(structures), model.q))
+    for row, (t, x) in zip(R, structures):
+        row[:t] = x
     return make_fixpoints(model, delta, R, structures)
 
 
@@ -286,7 +287,9 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         gs = _Y_GRID_M1 * (t * yd + q - t) / denom - target
         crossing = gs[:-1] * gs[1:] < 0
-    if gs[np.isfinite(gs)][-1] < 0:
+    # the non-finite values, where the powers overflow, are a suffix of the grid
+    last = gs[-1] if math.isfinite(gs[-1]) else gs[np.isfinite(gs)][-1]
+    if last < 0:
         raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
     roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
     for i in np.nonzero(crossing)[0]:
