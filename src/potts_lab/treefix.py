@@ -34,7 +34,9 @@ FIND_FIXPOINT_STARTS = 200
 # floating-point states of canonicalising a row whose quadratic form is zero or overflows
 _UNSCALABLE = dict(divide="ignore", over="ignore", invalid="ignore")
 
-# two_value_roots' scan grid on (1, 2^20) and its y - 1, shared read-only by every call
+# two_value_roots' scan grid on (1, 2^20) and its y - 1, shared read-only by every
+# call; every root lies below y = 1 + (B-1)/t <= B, so a scan stops two points
+# past the first grid point >= B
 _Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
 _Y_GRID.flags.writeable = False
 _Y_GRID_M1 = _Y_GRID - 1.0
@@ -268,51 +270,73 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
 
     Scans a geometric grid on (1, 2^20) for sign changes of the fixpoint
     equation and refines by bisection; grid local minima are polished by
-    golden section so that near-tangent root pairs are not missed.  Raises
+    golden section so that near-tangent root pairs are not missed.  Every
+    root lies below y = 1 + (B-1)/t <= B, so the scan stops two grid points
+    past the first one >= B (at the grid's end when B is past it).  Raises
     for a non-finite B, and when the equation is still negative at the last
-    grid point where it is finite, since the largest root then lies beyond
-    the scan.
+    scanned point where it is finite, since the largest root then lies
+    beyond the scan.  The one-row case of _root_scan.
     """
+    return _root_scan(q, delta, B, [t])[0]
+
+
+def _root_scan(q: int, delta: int, B: float, ts) -> list[list[float]]:
+    """two_value_roots for each t in ts, from one (len(ts), n) array over the
+    first n grid points.  The array is elementwise, so each row has the bits
+    of a scan of that t alone."""
     if delta < 3:
         raise ValueError("need degree delta >= 3")
     if not math.isfinite(B):
         raise ValueError(f"activity B must be finite, got {B}")
     d = delta - 1
     target = B - 1.0
-
-    def g(y):
-        return _activity_of_ratio(y, q, d, t) - target
-
+    # With d = delta - 1, g has the sign of
+    #   r(y) = t y^d + (q - t) - (B - 1)(y + ... + y^(d-1)),
+    # and y + ... + y^(d-1) < y^d / (y - 1), so r > 0 for every
+    # y >= 1 + (B - 1)/t, which is <= B.  No zero, sign change or near-tangent
+    # minimum lies past the first grid point >= B; the two points after it
+    # give that point's neighbours and a positive last value for the guard
+    # (g >= t(y - 1) - (B - 1) > 3e-3 there, the grid ratio being 1.0035).
+    # Where the powers overflow below the cut, the prefix holds the same
+    # last finite value as the whole grid.
+    n = min(int(np.searchsorted(_Y_GRID, B)) + 3, len(_Y_GRID))
+    T = np.asarray(ts)[:, None]
     yd, denom = _grid_power(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        gs = _Y_GRID_M1 * (t * yd + q - t) / denom - target
-        crossing = gs[:-1] * gs[1:] < 0
-    # the non-finite values, where the powers overflow, are a suffix of the grid
-    last = gs[-1] if math.isfinite(gs[-1]) else gs[np.isfinite(gs)][-1]
-    if last < 0:
+        gs = _Y_GRID_M1[:n] * (T * yd[:n] + q - T) / denom[:n] - target
+        crossing = gs[:, :-1] * gs[:, 1:] < 0
+    # the non-finite values, where the powers overflow, are a suffix of each row
+    last = gs[np.arange(len(gs)), n - 1 - np.argmax(np.isfinite(gs)[:, ::-1], axis=1)]
+    if (last < 0).any():
         raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
-    roots = [float(y) for y in _Y_GRID[:-1][gs[:-1] == 0.0]]
-    for i in np.nonzero(crossing)[0]:
-        roots.append(_bisect(g, float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
+    gfs = [lambda y, t=t: _activity_of_ratio(y, q, d, t) - target for t in ts]
+    roots: list[list[float]] = [[] for _ in gfs]
+    for k, i in zip(*np.nonzero(gs[:, :-1] == 0.0)):
+        roots[k].append(float(_Y_GRID[i]))
+    for k, i in zip(*np.nonzero(crossing)):
+        roots[k].append(_bisect(gfs[k], float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
     # near-tangency: a positive local grid minimum below 1e-3 may hide a root
     # pair; only the few interior points in (0, 1e-3) are compared with their
     # neighbours
-    near = np.flatnonzero((gs[1:-1] > 0) & (gs[1:-1] < 1e-3)) + 1
-    tangent = near[(gs[near] <= gs[near - 1]) & (gs[near] <= gs[near + 1])]
-    for i in tangent:
-        ymin = _golden_min(g, float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1]))
+    rows, near = np.nonzero((gs[:, 1:-1] > 0) & (gs[:, 1:-1] < 1e-3))
+    near += 1
+    tangent = (gs[rows, near] <= gs[rows, near - 1]) & (gs[rows, near] <= gs[rows, near + 1])
+    for k, i in zip(rows[tangent], near[tangent]):
+        g, lo, hi = gfs[k], float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1])
+        ymin = _golden_min(g, lo, hi)
         gmin = g(ymin)
         if gmin < 0:
-            roots.append(_bisect(g, float(_Y_GRID[i - 1]), ymin))
-            roots.append(_bisect(g, ymin, float(_Y_GRID[i + 1])))
+            roots[k].append(_bisect(g, lo, ymin))
+            roots[k].append(_bisect(g, ymin, hi))
         elif gmin <= 1e-12:
-            roots.append(ymin)
-    roots.sort()
-    dedup: list[float] = []
-    for y in roots:
-        if not dedup or abs(y - dedup[-1]) > 1e-9 * max(1.0, y):
-            dedup.append(y)
-    return dedup
+            roots[k].append(ymin)
+    for k, row in enumerate(roots):
+        dedup: list[float] = []
+        for y in sorted(row):
+            if not dedup or abs(y - dedup[-1]) > 1e-9 * max(1.0, y):
+                dedup.append(y)
+        roots[k] = dedup
+    return roots
 
 
 def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
@@ -335,9 +359,8 @@ def _potts_fixpoints(q: int, delta: int, B: float) -> tuple[Fixpoint, ...]:
     if not B > 1:
         raise ValueError("Potts fixpoint enumeration expects the ferromagnetic regime B > 1")
     d = delta - 1
-    structures = [(q, 1.0)] + [
-        (t, y**d) for t in range(1, q) for y in two_value_roots(q, delta, B, t)
-    ]
+    ts = range(1, q)
+    structures = [(q, 1.0)] + [(t, y**d) for t, ys in zip(ts, _root_scan(q, delta, B, ts)) for y in ys]
     return tuple(two_value_fixpoints(build_potts_matrix(q, B), delta, structures))
 
 

@@ -24,6 +24,7 @@ def test_bench_pairs_records_what_moves_the_bits(monkeypatch):
     simd = host["numpy_simd"]
     assert set(simd) == {"baseline", "found"}
     assert all(isinstance(f, str) for f in simd["baseline"] + simd["found"])
+    assert host["openblas_core"] is None or isinstance(host["openblas_core"], str)
 
 
 def test_bench_pairs_reference_rate_is_a_positive_finite_rate():

@@ -285,11 +285,12 @@ def test_potts_fixpoints_keeps_its_last_enumeration():
 
 
 def test_phase_query_enumerates_fixpoints_once(monkeypatch):
-    """A phase diagram followed by potts_fixpoints at the same activity scans
-    each t once and builds the fixpoints in one batched pass."""
+    """A phase diagram followed by potts_fixpoints at the same activity makes
+    one root scan covering every t and builds the fixpoints in one batched
+    pass."""
     scans, passes = [], []
-    real_roots, real_make = treefix.two_value_roots, treefix.make_fixpoints
-    monkeypatch.setattr(treefix, "two_value_roots", lambda *a: scans.append(a) or real_roots(*a))
+    real_scan, real_make = treefix._root_scan, treefix.make_fixpoints
+    monkeypatch.setattr(treefix, "_root_scan", lambda *a: scans.append(a) or real_scan(*a))
     monkeypatch.setattr(treefix, "make_fixpoints", lambda *a: passes.append(a) or real_make(*a))
     for q, delta, B in [(3, 3, 4.5), (6, 4, 5.0), (10, 5, 1.5)]:
         scans.clear()
@@ -298,7 +299,7 @@ def test_phase_query_enumerates_fixpoints_once(monkeypatch):
         pd = moments.potts_phase_diagram(q, delta, B)
         potts_fixpoints(q, delta, B)
         assert pd.local_maxima
-        assert [a[3] for a in scans] == list(range(1, q)) and len(passes) == 1
+        assert [list(a[3]) for a in scans] == [list(range(1, q))] and len(passes) == 1
 
 
 def test_root_scan_rejects_an_activity_beyond_its_grid():
@@ -529,11 +530,35 @@ def _loop_two_value_roots(q, delta, B, t):
 
 
 def test_two_value_roots_matches_loop_reference():
-    cases = []
+    # just under the grid's end; and at Delta = 61 just under where (y - 1) y^60
+    # overflows (y ~ 1.13e5), so that the scanned prefix ends on a NaN
+    cases = [(3, 3, 1e6), (3, 61, 1.125e5)]
     for q, delta in ((3, 3), (4, 5), (6, 3), (10, 10)):
         th = potts_thresholds(q, delta)
-        # near-tangent pairs just above Bu, both sides of Bo and Brc
-        for B in (th.Bu + 1e-10, th.Bu + 1e-4, th.Bo, th.Brc, 0.5 * (th.Bu + th.Brc), 2 * th.Brc):
-            cases.extend((q, delta, B, t) for t in range(1, q))
-    for q, delta, B, t in cases:
-        assert two_value_roots(q, delta, B, t) == _loop_two_value_roots(q, delta, B, t)
+        # next to B = 1, near-tangent pairs on both sides of Bu, Bo and Brc
+        near_bu = (th.Bu - 1e-10, th.Bu + 1e-10, th.Bu + 1e-4)
+        for B in (1 + 1e-9, 1.05, *near_bu, th.Bo, th.Brc, 0.5 * (th.Bu + th.Brc), 2 * th.Brc):
+            cases.append((q, delta, B))
+    for q, delta, B in cases:
+        ts = range(1, q)
+        want = [_loop_two_value_roots(q, delta, B, t) for t in ts]
+        assert treefix._root_scan(q, delta, B, ts) == want
+        assert [two_value_roots(q, delta, B, t) for t in ts] == want
+    assert two_value_roots(3, 3, 1e6, 1)[-1] > 9.9e5 and two_value_roots(3, 61, 1.125e5, 1)[-1] > 1.12e5
+
+
+def test_root_scan_cut_holds_in_floats():
+    """From the first grid point >= B on, the scanned equation is positive for
+    every t, and past that point it stays above the 1e-3 of the tangency
+    test: on the criterion-3 grid nothing the scan skips could hold a root."""
+    grid, m1 = treefix._Y_GRID, treefix._Y_GRID_M1
+    for q in range(3, 11):
+        T = np.arange(1, q)[:, None]
+        for delta in range(3, 11):
+            yd, denom = treefix._grid_power(delta - 1)
+            for B in np.linspace(1.05, 2 * potts_thresholds(q, delta).Brc, 20):
+                j = int(np.searchsorted(grid, B))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gs = m1[j:] * (T * yd[j:] + q - T) / denom[j:] - (B - 1.0)
+                assert np.isfinite(gs).all()
+                assert (gs[:, 0] > 0).all() and (gs[:, 1:] > 1e-3).all()

@@ -11,7 +11,8 @@ seed --seed + i.  Run length defaults to BENCHMARK.json's run_seconds.
 The output file, written to the change checkout, records the git state of both
 checkouts (HEAD, whether the tree has uncommitted changes, and a SHA-256 over
 the files under src/ so an uncommitted tree is still identified), the numpy
-version with its SIMD baseline and found dispatch targets, the
+version with its SIMD baseline and found dispatch targets, the kernel core
+numpy's bundled OpenBLAS runs (null when it cannot be read), the
 OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES settings (null when unset), the
 CPU count, every run's result line, and per workload and side the
 median and quartiles of each end-to-end metric in BENCHMARK.json, with the
@@ -66,27 +67,38 @@ def _source_state(checkout: Path) -> dict:
 
 
 _NUMPY_PROBE = """
-import json, numpy
+import ctypes, glob, json, os, numpy
 try:
     from numpy._core import _multiarray_umath as m
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath as m
 found = [f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)]
-print(json.dumps({"version": numpy.__version__, "baseline": list(m.__cpu_baseline__), "found": found}))
+core = None  # no OpenBLAS bundled in numpy.libs, or one without a core-name call
+for lib in sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))):
+    blas = ctypes.CDLL(lib)
+    corename = getattr(blas, "scipy_openblas_get_corename64_", None) or getattr(blas, "openblas_get_corename", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+print(json.dumps({"version": numpy.__version__, "baseline": list(m.__cpu_baseline__), "found": found, "core": core}))
 """
 
 
 def _host_state() -> dict:
     """What moves the bits of a run on this host: the Python and numpy
     versions, numpy's SIMD baseline and the dispatch targets it found, the
-    BLAS and SIMD overrides in the environment (None when unset) and the CPU
-    count."""
+    kernel core of numpy's bundled OpenBLAS (its own pick, or the one
+    OPENBLAS_CORETYPE names; None when the library has no core-name call),
+    the BLAS and SIMD overrides in the environment (None when unset) and the
+    CPU count."""
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, check=True)
     probe = json.loads(done.stdout)
     return {
         "python": platform.python_version(),
         "numpy": probe["version"],
         "numpy_simd": {"baseline": probe["baseline"], "found": probe["found"]},
+        "openblas_core": probe["core"],
         "env": {name: os.environ.get(name) for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")},
         "cpu_count": os.cpu_count(),
     }
