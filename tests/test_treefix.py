@@ -304,7 +304,7 @@ def test_phase_query_enumerates_fixpoints_once(monkeypatch):
 
 def test_root_scan_rejects_an_activity_beyond_its_grid():
     # the majority root y ~ B - 1 passes 2^20, where the t = 1 equation is still negative
-    # at Delta = 61 the scan's powers overflow past y ~ 2^17, below that root
+    # at Delta = 61 the scan's (y - 1) y^60 overflows past y ~ 1.13e5, below that root
     for q, delta, B in [(3, 3, 1.05e6), (10, 3, 2e6), (3, 61, 2e5)]:
         with pytest.raises(ValueError, match="beyond the root scan"):
             potts_fixpoints(q, delta, B)
