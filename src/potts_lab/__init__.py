@@ -8,8 +8,6 @@ from .spinsys import (
     SizeGuardError,
     build_potts_matrix,
     cholesky_factor,
-    classify_signature,
-    ferro_alignment_check,
     interaction_matrix,
     load_model,
     model_from_json,
@@ -19,7 +17,6 @@ from .treefix import (
     PottsThresholds,
     classify_stability,
     find_fixpoints,
-    jacobian_matrix,
     majority_fixpoint,
     ordered_root_marginal,
     potts_fixpoints,
@@ -27,11 +24,9 @@ from .treefix import (
     tree_step,
 )
 from .moments import (
-    EdgeDistribution,
     MomentReport,
     dif_value,
     first_moment_exact,
-    inner_edge_max,
     matrix_norm_p2,
     moment_report,
     phi1,
@@ -60,7 +55,6 @@ from .swsim import (
     conductance,
     exact_sw_kernel,
     expected_mono,
-    phase_of,
     run_chain,
     sw_gap_check,
     sw_step,

@@ -23,7 +23,6 @@ ENUMERATE_POINTS_GUARD = 16
 # non-backtracking walks, n * delta * (delta - 1)^(L - 1) for L = min(kmax, n),
 # that count_cycles may grow
 CYCLE_WALK_GUARD = 2**24
-GADGET_DEPTH_EXPONENT = 1 / 16  # psi: tree depth psi * log_(delta-1) n
 # largest n whose edge keys u * n + v, at most n * n - 1, fit in int64
 EDGE_KEY_MAX_N = math.isqrt(2**63 - 1)
 
@@ -142,11 +141,6 @@ def enumerate_pairings(n: int, delta: int):
 
     for pairing in match(list(range(m))):
         yield make_graph(n, delta, [(a // delta, b // delta) for a, b in pairing])
-
-
-def double_factorial_pairings(m: int) -> int:
-    """Number of perfect matchings of m points."""
-    return math.factorial(m) // (math.factorial(m // 2) * 2 ** (m // 2))
 
 
 def _neighbor_table(g: RegularGraph) -> np.ndarray:
@@ -305,18 +299,6 @@ def build_gadget(
             roots[int(level[0])] = root_role
     roles |= dict.fromkeys(range(2 * side, nxt), "treeInternal") | roots
     return make_graph(nxt, delta, np.concatenate(edges), roles)
-
-
-def gadget_parameters_for(n: int, delta: int, theta: float = 1 / 16):
-    """Desk-scale gadget sizing from the asymptotic exponents: n^theta trees
-    of depth psi*log_(delta-1) n on a size-n core, psi = GADGET_DEPTH_EXPONENT.
-    Returns (trees_per_side, tree_depth, n_core)."""
-    if not 0 < theta < 1 / 8:
-        raise ValueError("exponents must lie in (0, 1/8)")
-    base = delta - 1
-    trees = base ** int(math.floor(theta * math.log(n, base)))
-    depth = int(math.floor(GADGET_DEPTH_EXPONENT * math.log(n, base)))
-    return max(1, trees), max(1, depth), n
 
 
 def gadget_roots(g: RegularGraph, side: str) -> list[int]:

@@ -56,14 +56,6 @@ LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class EdgeDistribution:
-    """Symmetric matrix of half-edge pair fractions with fixed marginals."""
-
-    x: np.ndarray
-    marginals: np.ndarray
-
-
-@dataclass(frozen=True)
 class SmallGraphConstants:
     mu: np.ndarray
     lam: np.ndarray
@@ -157,21 +149,6 @@ def _scaling_max(B: np.ndarray, alpha: np.ndarray, lam0=None):
 def _psi1_of_g1(delta: int, alpha: np.ndarray, g1: float) -> float:
     a = alpha[alpha > 0]
     return (delta - 1) * float(np.sum(a * np.log(a))) + delta * g1
-
-
-def inner_edge_max(model: InteractionMatrix, alpha):
-    """Maximize g1(x) = 1/2 sum x ln B - 1/2 sum x ln x over symmetric x with
-    row sums alpha.  Returns (EdgeDistribution, g1), or (None, -inf) when the
-    marginals are unreachable on the support of B.
-
-    Colors with alpha_i = 0 are dropped before scaling (0 ln 0 = 0), and
-    entries with B_ij = 0 are exactly zero in the maximizer.
-    """
-    sol = _scaling_max(model.entries, np.asarray(alpha, dtype=float))
-    if sol is None:
-        return None, -np.inf
-    x, g1, _ = sol
-    return EdgeDistribution(x=x, marginals=x.sum(axis=1)), g1
 
 
 def psi1(model: InteractionMatrix, delta: int, alpha) -> float:

@@ -41,9 +41,6 @@ class InteractionMatrix:
     signature: Signature
     ergodic: bool
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "entries": self.entries.tolist()}
-
 
 @dataclass(frozen=True)
 class Phase:
@@ -131,16 +128,6 @@ def build_potts_matrix(q: int, B: float) -> InteractionMatrix:
     return InteractionMatrix(q, entries, _signature_of(w), ergodic=True)
 
 
-def classify_signature(model: InteractionMatrix) -> Signature:
-    """Signature of an ergodic model; rejects non-ergodic input."""
-    if not model.ergodic:
-        raise ValueError(
-            "interaction matrix is not ergodic (reducible or 2-periodic support); "
-            "decompose into irreducible blocks before classifying"
-        )
-    return model.signature
-
-
 def cholesky_factor(model: InteractionMatrix) -> np.ndarray:
     """Upper-triangular Bhat with Bhat^T Bhat equal to the interaction matrix."""
     if model.signature is not Signature.FERROMAGNETIC:
@@ -154,22 +141,13 @@ def _check_simplex(z, q: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (q,):
         raise ValueError(f"expected a length-{q} vector")
+    if not np.isfinite(z).all():
+        raise ValueError("simplex vector must be finite")
     if np.any(z < 0):
         raise ValueError("simplex vector must be nonnegative")
     if abs(z.sum() - 1.0) > 1e-9:
         raise ValueError("simplex vector must have unit 1-norm")
     return z
-
-
-def ferro_alignment_check(model: InteractionMatrix, z1, z2) -> bool:
-    """Whether (z1' B z1)(z2' B z2) >= (z1' B z2)^2, the alignment direction
-    that characterizes ferromagnetic interactions."""
-    z1 = _check_simplex(z1, model.q)
-    z2 = _check_simplex(z2, model.q)
-    B = model.entries
-    lhs = float(z1 @ B @ z1) * float(z2 @ B @ z2)
-    rhs = float(z1 @ B @ z2) ** 2
-    return lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 def _json_number(spec: dict, key: str, where: str, integral: bool = False):

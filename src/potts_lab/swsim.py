@@ -123,11 +123,6 @@ def sw_step(g: RegularGraph, q: int, B: float, colors, rng) -> np.ndarray:
     return _step_arrays((colors[u] == colors[v]).nonzero()[0], u, v, g.n, q, B, rng)
 
 
-def phase_of(colors, q: int) -> int:
-    """Dominant color of a coloring; ties break to the lowest color index."""
-    return int(np.argmax(np.bincount(np.asarray(colors), minlength=q)))
-
-
 def _reference(q: int, delta: int, B: float):
     """(E_u, E_m, vec) from one majority fixpoint: the per-vertex expected
     monochromatic edge counts of the disordered and ordered phases and the
@@ -337,7 +332,7 @@ def conductance(g: RegularGraph, q: int, B: float, S, kernel=None, pi=None) -> f
 
 def phase_cut(g: RegularGraph, q: int, color: int) -> np.ndarray:
     """Indices of the configurations whose phase label (dominant color, ties
-    to the lowest index, as in `phase_of`) equals `color`."""
+    to the lowest index, as `run_chain` labels its steps) equals `color`."""
     states = all_colorings(g.n, q)
     counts = np.count_nonzero(states[:, :, None] == np.arange(q), axis=1)
     return np.nonzero(counts.argmax(axis=1) == color)[0]

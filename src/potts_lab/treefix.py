@@ -147,12 +147,6 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q), res
 
 
-def jacobian_matrix(model: InteractionMatrix, delta: int, fp: Fixpoint) -> np.ndarray:
-    """The symmetric q x q map M at a fixpoint.  Its restricted spectrum, on
-    the subspace sum_i sqrt(alpha_i) r_i = 0, is fp.restricted_spectrum."""
-    return _spectra(model, delta, fp.R[None])[0][0]
-
-
 def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
     """The stability label of each row of Jacobian eigenvalues, by spectral radius."""
     return [

@@ -693,7 +693,11 @@ def test_every_option_in_the_table_is_used():
 
 @pytest.mark.parametrize(
     "alpha, message",
-    [("0.5,0.6,0.7", "simplex vector must have unit 1-norm"), ("0.5,0.6,-0.1", "simplex vector must be nonnegative")],
+    [
+        ("0.5,0.6,0.7", "simplex vector must have unit 1-norm"),
+        ("0.5,0.6,-0.1", "simplex vector must be nonnegative"),
+        ("nan,0.5,0.5", "simplex vector must be finite"),
+    ],
 )
 def test_moments_alpha_must_be_a_distribution(tmp_path, capsys, alpha, message):
     out = tmp_path / "m.csv"

@@ -12,9 +12,9 @@ from potts_lab import moments, treefix
 from potts_lab.moments import (
     _elimination_entries,
     _orbit,
+    _scaling_max,
     dif_value,
     first_moment_exact,
-    inner_edge_max,
     matrix_norm_p2,
     moment_report,
     phi1,
@@ -36,36 +36,36 @@ def colorings_matrix(q=3):
     return interaction_matrix(np.ones((q, q)) - np.eye(q))
 
 
+# the inner edge-distribution maximum is moments._scaling_max
 def test_inner_edge_max_product_measure():
     m = interaction_matrix(np.ones((3, 3)))
     for alpha in ([0.2, 0.3, 0.5], [0.6, 0.4, 0.0]):
-        ed, g1 = inner_edge_max(m, alpha)
         a = np.array(alpha)
-        assert np.max(np.abs(ed.x - np.outer(a, a))) < 1e-10
-        assert np.max(np.abs(ed.marginals - a)) < 1e-12
+        x, g1, _ = _scaling_max(m.entries, a)
+        assert np.max(np.abs(x - np.outer(a, a))) < 1e-10
+        assert np.max(np.abs(x.sum(1) - a)) < 1e-12
 
 
 def test_inner_edge_max_potts_uniform():
     q, B = 3, 2.0
     m = build_potts_matrix(q, B)
-    ed, g1 = inner_edge_max(m, np.ones(q) / q)
-    assert abs(ed.x[0, 0] - B / (q * (q + B - 1))) < 1e-12
-    assert abs(ed.x[0, 1] - 1 / (q * (q + B - 1))) < 1e-12
+    x, g1, _ = _scaling_max(m.entries, np.ones(q) / q)
+    assert abs(x[0, 0] - B / (q * (q + B - 1))) < 1e-12
+    assert abs(x[0, 1] - 1 / (q * (q + B - 1))) < 1e-12
 
 
 def test_inner_edge_max_forced_support():
     m = interaction_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    ed, g1 = inner_edge_max(m, [0.5, 0.5])
-    assert np.allclose(ed.x, [[0.0, 0.5], [0.5, 0.0]], atol=1e-13)
+    x, g1, _ = _scaling_max(m.entries, np.array([0.5, 0.5]))
+    assert np.allclose(x, [[0.0, 0.5], [0.5, 0.0]], atol=1e-13)
     assert abs(g1 - 0.5 * math.log(2)) < 1e-12
     # zero entries of B are exactly zero in the maximizer
-    assert ed.x[0, 0] == 0.0
+    assert x[0, 0] == 0.0
 
 
 def test_inner_edge_max_infeasible():
     m = interaction_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    ed, g1 = inner_edge_max(m, [0.3, 0.7])
-    assert ed is None and g1 == -np.inf
+    assert _scaling_max(m.entries, np.array([0.3, 0.7])) is None
     assert psi1(m, 3, [0.3, 0.7]) == -np.inf
 
 
@@ -74,8 +74,8 @@ def test_ipf_first_order_conditions():
     raw = rng.random((4, 4))
     m = interaction_matrix(raw + raw.T + 0.2)
     alpha = rng.dirichlet(np.ones(4))
-    ed, _ = inner_edge_max(m, alpha)
-    x, B = ed.x, m.entries
+    x, _, _ = _scaling_max(m.entries, alpha)
+    B = m.entries
     for i, j, k, l in [(0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 0, 2)]:
         lhs = x[i, j] * x[k, l] * B[i, l] * B[k, j]
         rhs = x[i, l] * x[k, j] * B[i, j] * B[k, l]

@@ -6,12 +6,12 @@ import pytest
 from potts_lab.spinsys import (
     Signature,
     build_potts_matrix,
+    _check_simplex,
     cholesky_factor,
-    classify_signature,
-    ferro_alignment_check,
     interaction_matrix,
     model_from_json,
 )
+from potts_lab.moments import psi1
 
 
 def test_potts_eigenvalues_and_signature():
@@ -59,9 +59,10 @@ def test_potts_matrix_matches_the_generic_constructor():
 
 
 def test_classify_examples():
-    assert classify_signature(build_potts_matrix(4, 3.0)) is Signature.FERROMAGNETIC
+    ferro = build_potts_matrix(4, 3.0)
+    assert ferro.ergodic and ferro.signature is Signature.FERROMAGNETIC
     colorings = interaction_matrix(np.ones((3, 3)) - np.eye(3))
-    assert classify_signature(colorings) is Signature.ANTIFERROMAGNETIC
+    assert colorings.ergodic and colorings.signature is Signature.ANTIFERROMAGNETIC
 
 
 def test_classify_random_indefinite():
@@ -91,8 +92,6 @@ def test_classify_rejects_bad_input():
     # identity is reducible, hence not ergodic
     ident = interaction_matrix(np.eye(2))
     assert not ident.ergodic
-    with pytest.raises(ValueError, match="ergodic"):
-        classify_signature(ident)
     # zero diagonal with bipartite support is 2-periodic
     twocycle = interaction_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not twocycle.ergodic
@@ -181,11 +180,19 @@ def _random_simplex(rng, q):
     return rng.dirichlet(np.ones(q))
 
 
+def _aligned(B, z1, z2):
+    """Whether (z1' B z1)(z2' B z2) >= (z1' B z2)^2, up to rounding: the
+    alignment that characterizes ferromagnetic interactions."""
+    lhs = float(z1 @ B @ z1) * float(z2 @ B @ z2)
+    rhs = float(z1 @ B @ z2) ** 2
+    return lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
 def test_alignment_equality_and_strict_cases():
     m = build_potts_matrix(3, 2.0)
     u = np.ones(3) / 3
     B = m.entries
-    assert ferro_alignment_check(m, u, u)
+    assert _aligned(B, u, u)
     assert abs(float(u @ B @ u) ** 2 - float(u @ B @ u) * float(u @ B @ u)) < 1e-12
 
     z1 = np.array([1.0, 0.0, 0.0])
@@ -193,7 +200,7 @@ def test_alignment_equality_and_strict_cases():
     # (z1' B z1)(z2' B z2) = 4 against (z1' B z2)^2 = 1
     assert float(z1 @ B @ z1) * float(z2 @ B @ z2) == 4.0
     assert float(z1 @ B @ z2) ** 2 == 1.0
-    assert ferro_alignment_check(m, z1, z2)
+    assert _aligned(B, z1, z2)
 
 
 def test_alignment_property_by_class():
@@ -203,7 +210,7 @@ def test_alignment_property_by_class():
     for _ in range(1000):
         z1 = _random_simplex(rng, 3)
         z2 = _random_simplex(rng, 3)
-        assert ferro_alignment_check(ferro, z1, z2)
+        assert _aligned(ferro.entries, z1, z2)
         # antiferromagnetic interactions reverse the inequality
         B = anti.entries
         lhs = float(z1 @ B @ z1) * float(z2 @ B @ z2)
@@ -212,16 +219,22 @@ def test_alignment_property_by_class():
 
 
 def test_alignment_rejects_non_simplex():
-    m = build_potts_matrix(2, 2.0)
-    with pytest.raises(ValueError):
-        ferro_alignment_check(m, [0.5, 0.6], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        ferro_alignment_check(m, [-0.1, 1.1], [0.5, 0.5])
+    for z, message in (
+        ([0.5, 0.6], "simplex vector must have unit 1-norm"),
+        ([-0.1, 1.1], "simplex vector must be nonnegative"),
+        ([float("nan"), 0.5], "simplex vector must be finite"),
+        ([float("inf"), 0.5], "simplex vector must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_simplex(z, 2)
+    # a NaN share used to pass both sign and sum checks and give psi1 at (0, .5, .5)
+    with pytest.raises(ValueError, match="^simplex vector must be finite$"):
+        psi1(build_potts_matrix(3, 2.0), 3, [float("nan"), 0.5, 0.5])
 
 
 def test_model_json_roundtrip():
     m = build_potts_matrix(3, 2.0)
-    again = model_from_json(json.dumps(m.to_json()))
+    again = model_from_json(json.dumps({"q": m.q, "entries": m.entries.tolist()}))
     assert np.array_equal(again.entries, m.entries)
     short = model_from_json({"potts": {"q": 4, "B": 2.5}})
     assert short.q == 4 and short.entries[0, 0] == 2.5

@@ -20,7 +20,6 @@ from potts_lab.swsim import (
     mono_edge_count,
     ordered_phase_vector,
     phase_cut,
-    phase_of,
     run_chain,
     sw_gap_check,
     sw_step,
@@ -34,6 +33,11 @@ def triangle():
 
 def k2():
     return make_graph(2, 1, [(0, 1)], strict=False)
+
+
+def _phase_of(colors, q):
+    """Referee phase label: the dominant color, ties to the lowest index."""
+    return int(np.argmax(np.bincount(colors, minlength=q)))
 
 
 def test_sw_step_validation_and_trivial_cases():
@@ -102,9 +106,13 @@ def test_empirical_chain_matches_exact_stationary():
 
 
 def test_phase_of():
-    assert phase_of(np.array([2, 2, 2]), 3) == 2
+    # phase_cut labels each coloring by its dominant color
+    states = all_colorings(3, 3)
+    assert np.flatnonzero((states == [2, 2, 2]).all(1))[0] in phase_cut(triangle(), 3, 2)
     # tie between colors 0 and 2 resolves to the lowest index
-    assert phase_of(np.array([0, 0, 2, 2, 1]), 3) == 0
+    g = make_graph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    tie = np.flatnonzero((all_colorings(5, 3) == [0, 0, 2, 2, 1]).all(1))[0]
+    assert tie in phase_cut(g, 3, 0) and tie not in phase_cut(g, 3, 2)
 
 
 def test_expected_mono_values():
@@ -297,13 +305,13 @@ def test_run_chain_ordered_start():
 
 
 def test_run_chain_matches_sw_step_chain():
-    # the same chain stepped by sw_step, with the phase of each step from phase_of
+    # the same chain stepped by sw_step, with the phase of each step from _phase_of
     g = pairing_sample(40, 3, seed=6)
     tr = run_chain(g, 3, 2.5, steps=30, start="disordered", seed=11)
     rng = chain_rng(11)
     colors = initial_state(g, 3, 2.5, "disordered", rng)
     for t in range(31):
-        assert tr.phase[t] == phase_of(colors, 3)
+        assert tr.phase[t] == _phase_of(colors, 3)
         assert np.array_equal(tr.freqs[t], np.bincount(colors, minlength=3) / g.n)
         assert tr.mono_density[t] == mono_edge_count(g, colors) / g.n
         colors = sw_step(g, 3, 2.5, colors, rng)
@@ -469,13 +477,13 @@ def test_phase_cut_indexing():
     cut = phase_cut(g, 2, 1)
     states = all_colorings(3, 2)
     for s in cut:
-        assert phase_of(states[s], 2) == 1
+        assert _phase_of(states[s], 2) == 1
     assert len(cut) == 4
     # q = 3 on four vertices has tied states, which go to the lowest color
     g = make_graph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)], strict=False)
     states = all_colorings(4, 3)
     for color in range(3):
-        want = [s for s in range(81) if phase_of(states[s], 3) == color]
+        want = [s for s in range(81) if _phase_of(states[s], 3) == color]
         assert phase_cut(g, 3, color).tolist() == want
 
 
@@ -485,7 +493,7 @@ def test_phase_occupancy_symmetry():
     g = triangle()
     pi = gibbs_distribution(g, 2, 3.0)
     states = all_colorings(3, 2)
-    mass = [sum(pi[s] for s in range(8) if phase_of(states[s], 2) == c) for c in range(2)]
+    mass = [sum(pi[s] for s in range(8) if _phase_of(states[s], 2) == c) for c in range(2)]
     assert abs(mass[0] - mass[1]) < 1e-14
 
     # q = 3 has tie-broken states; equality holds after excluding ties
@@ -498,7 +506,7 @@ def test_phase_occupancy_symmetry():
         return int(np.sum(counts == top)) >= 2
 
     mass = [
-        sum(pi[s] for s in range(27) if not tied(s) and phase_of(states[s], 3) == c)
+        sum(pi[s] for s in range(27) if not tied(s) and _phase_of(states[s], 3) == c)
         for c in range(3)
     ]
     assert max(mass) - min(mass) < 1e-14

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -65,3 +66,33 @@ def test_bench_pairs_probes_both_sides_at_the_fewest_attempted_ops(tmp_path, mon
         "parent": {"ops": 64, "failed": 0, "peak_rss_mb": 41.0},
         "change": {"ops": 64, "failed": 0, "peak_rss_mb": 42.0},
     }
+
+
+# public names with no caller yet, kept for the callers that open ROADMAP items will give them
+WAITING_FOR_A_CALLER = {
+    "classify_UMT",  # item 7: SW bottleneck on the U/M/T classes
+    "default_epsilon",  # item 7
+    "reduction_constants",  # item 8: simulation referee for the gadget's root marginal
+    "second_moment_exact",  # item 10: finite-n referee for the second-moment ratio
+}
+
+
+def test_every_public_name_has_a_caller():
+    root = TOOL.parents[1]
+    files = [p for p in sorted((root / "src" / "potts_lab").glob("*.py")) if p.name != "__init__.py"]
+    files += [p for p in sorted((root / "perfbench").glob("*.py")) if p.name != "test_bench.py"]
+    files += sorted((root / "tools").glob("*.py"))
+    defined, used = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.relative_to(root).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    # a waiting name that gains a caller (or goes) leaves the list as well
+    uncalled = {name: path for name, path in defined.items() if name not in used}
+    assert sorted(uncalled) == sorted(WAITING_FOR_A_CALLER), uncalled
