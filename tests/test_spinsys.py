@@ -227,7 +227,7 @@ def test_alignment_rejects_non_simplex():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             _check_simplex(z, 2)
-    # a NaN share used to pass both sign and sum checks and give psi1 at (0, .5, .5)
+    # NaN fails neither the sign nor the sum test, so it needs its own check
     with pytest.raises(ValueError, match="^simplex vector must be finite$"):
         psi1(build_potts_matrix(3, 2.0), 3, [float("nan"), 0.5, 0.5])
 
