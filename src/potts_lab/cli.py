@@ -282,6 +282,8 @@ def _cmd_sw_exact(args) -> int:
 
 
 def _cmd_sweep_dif(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     th = treefix.potts_thresholds(args.q, args.delta)
     grid = np.linspace(th.Bu, th.Brc, args.points + 2)[1:-1]
 

@@ -22,7 +22,7 @@ and a moment that overflows a float raises ValueError naming its log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -515,7 +515,9 @@ def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
 
 def _with_dominance(ph: Phase, psi1_max: float) -> Phase:
     dom = ph.psi1 >= psi1_max - 1e-9
-    return replace(ph, dominant=dom, hessian_dominant=dom and ph.hessian_local_max)
+    return Phase(
+        ph.alpha, ph.psi1, ph.hessian_eigen, ph.local_max, ph.hessian_local_max, dom, dom and ph.hessian_local_max
+    )
 
 
 def _orbit(ph: Phase) -> list[Phase]:
@@ -530,12 +532,15 @@ def _orbit(ph: Phase) -> list[Phase]:
     for i in range(q):
         if not any(close[(k - i) % q] for k in kept):
             kept.append(i)
-    return [replace(ph, alpha=rolls[i]) for i in kept]
+    rest = (ph.psi1, ph.hessian_eigen, ph.local_max, ph.hessian_local_max, ph.dominant, ph.hessian_dominant)
+    return [Phase(rolls[i], *rest) for i in kept]
 
 
 def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
     """Classify the activity B against the thresholds and report the local
     maxima and dominant phases of the first-moment exponent."""
+    if not math.isfinite(B):
+        raise ValueError(f"activity B must be finite, got {B}")
     if not B > 1:
         raise ValueError("phase diagram covers the ferromagnetic regime B > 1")
     th = potts_thresholds(q, delta)

@@ -162,7 +162,8 @@ def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> Fi
     spectrum check rejects one whose stored spectrum belongs to another
     degree (the uniform fixpoint is a fixpoint at every degree)."""
     _check_fixpoints(_residuals(model, delta, fp.R))
-    if not np.array_equal(fp.jacobian_eigen, (delta - 1) * fp.restricted_spectrum):
+    jac, want = fp.jacobian_eigen, (delta - 1) * fp.restricted_spectrum
+    if jac.shape != want.shape or not (jac == want).all():
         raise ValueError(f"fixpoint spectrum was not computed at degree delta = {delta}")
     return fp
 
@@ -203,6 +204,8 @@ def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> lis
 
 
 def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], to BISECT_TOL relative to lo.  Every caller's
+    bracket lies in [1 + 1e-6, inf), so lo >= 1 is its own scale."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -211,7 +214,7 @@ def _bisect(f, lo: float, hi: float) -> float:
         return hi
     if flo * fhi > 0:
         raise ValueError("bisection bracket does not straddle a root")
-    while hi - lo > BISECT_TOL * max(1.0, abs(lo)):
+    while hi - lo > BISECT_TOL * lo:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -241,10 +244,16 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _activity_of_ratio(y: float, q: int, d: int, t: int) -> float:
-    """B - 1 as a function of the two-value ratio y = (R_1/R_q)^(1/d)."""
-    yd = y**d
-    return (y - 1.0) * (t * yd + q - t) / (yd - y)
+def _ratio_equation(q: int, d: int, t: int, target: float):
+    """The two-value fixpoint equation g(y) = a(y) - target, where a(y) is
+    B - 1 as a function of the ratio y = (R_1/R_q)^(1/d).  One closure per t,
+    so each evaluation in a bisection is one Python call."""
+
+    def g(y: float) -> float:
+        yd = y**d
+        return (y - 1.0) * (t * yd + q - t) / (yd - y) - target
+
+    return g
 
 
 @functools.cache
@@ -303,7 +312,7 @@ def _root_scan(q: int, delta: int, B: float, ts) -> list[list[float]]:
     last = gs[np.arange(len(gs)), n - 1 - np.argmax(np.isfinite(gs)[:, ::-1], axis=1)]
     if (last < 0).any():
         raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
-    gfs = [lambda y, t=t: _activity_of_ratio(y, q, d, t) - target for t in ts]
+    gfs = [_ratio_equation(q, d, t, target) for t in ts]
     roots: list[list[float]] = [[] for _ in gfs]
     for k, i in zip(*np.nonzero(gs[:, :-1] == 0.0)):
         roots[k].append(float(_Y_GRID[i]))
@@ -311,19 +320,21 @@ def _root_scan(q: int, delta: int, B: float, ts) -> list[list[float]]:
         roots[k].append(_bisect(gfs[k], float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
     # near-tangency: a positive local grid minimum below 1e-3 may hide a root
     # pair; only the few interior points in (0, 1e-3) are compared with their
-    # neighbours
-    rows, near = np.nonzero((gs[:, 1:-1] > 0) & (gs[:, 1:-1] < 1e-3))
-    near += 1
-    tangent = (gs[rows, near] <= gs[rows, near - 1]) & (gs[rows, near] <= gs[rows, near + 1])
-    for k, i in zip(rows[tangent], near[tangent]):
-        g, lo, hi = gfs[k], float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1])
-        ymin = _golden_min(g, lo, hi)
-        gmin = g(ymin)
-        if gmin < 0:
-            roots[k].append(_bisect(g, lo, ymin))
-            roots[k].append(_bisect(g, ymin, hi))
-        elif gmin <= 1e-12:
-            roots[k].append(ymin)
+    # neighbours, and mostly there are none
+    small = (gs[:, 1:-1] > 0) & (gs[:, 1:-1] < 1e-3)
+    if small.any():
+        rows, near = np.nonzero(small)
+        near += 1
+        tangent = (gs[rows, near] <= gs[rows, near - 1]) & (gs[rows, near] <= gs[rows, near + 1])
+        for k, i in zip(rows[tangent], near[tangent]):
+            g, lo, hi = gfs[k], float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1])
+            ymin = _golden_min(g, lo, hi)
+            gmin = g(ymin)
+            if gmin < 0:
+                roots[k].append(_bisect(g, lo, ymin))
+                roots[k].append(_bisect(g, ymin, hi))
+            elif gmin <= 1e-12:
+                roots[k].append(ymin)
     for k, row in enumerate(roots):
         dedup: list[float] = []
         for y in sorted(row):
@@ -350,6 +361,8 @@ def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
 
 @functools.lru_cache(maxsize=1)
 def _potts_fixpoints(q: int, delta: int, B: float) -> tuple[Fixpoint, ...]:
+    if not math.isfinite(B):
+        raise ValueError(f"activity B must be finite, got {B}")
     if not B > 1:
         raise ValueError("Potts fixpoint enumeration expects the ferromagnetic regime B > 1")
     d = delta - 1

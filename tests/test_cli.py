@@ -412,14 +412,13 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
     assert len(data) == 4  # failed row still present, in grid order
 
 
-def test_sweep_dif_empty_grid(tmp_path):
-    out = tmp_path / "empty.csv"
-    rc = run_command(
-        ["sweep", "dif", "--q", "3", "--delta", "3", "--points", "0", "--csv", str(out)]
-    )
-    assert rc == 0
-    rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
-    assert rows == ["B,dif,regime,error"]
+def test_sweep_dif_rejects_points_below_one(tmp_path, capsys):
+    out = tmp_path / "dif.csv"
+    for points in ("0", "-3"):
+        rc = run_command(["sweep", "dif", "--q", "3", "--delta", "3", "--points", points, "--csv", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --points must be >= 1, got {points}\n"
+        assert not out.exists()
 
 
 def test_sweep_thresholds_table(tmp_path):
@@ -842,6 +841,9 @@ def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, star
     [
         ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint beyond the root scan"),
         ("fixpoints --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
+        ("fixpoints --q 3 --delta 3 --B nan", "activity B must be finite, got nan"),
+        ("phase-diagram --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
+        ("phase-diagram --q 3 --delta 3 --B nan", "activity B must be finite, got nan"),
         ("phase-diagram --q 3 --delta 3 --B 1.05e6", "activity B = 1050000.0 puts a fixpoint beyond the root scan"),
         ("thresholds --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
         ("phase-diagram --q 3 --delta 600 --B 2", "the uniqueness polynomial overflows a float at delta = 600"),

@@ -39,9 +39,32 @@ def test_potts_validation():
         build_potts_matrix(1, 2.0)
     with pytest.raises(ValueError):
         build_potts_matrix(40, 2.0)
-    for B in (float("inf"), float("nan")):
-        with pytest.raises(ValueError):
+    for B in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="^Potts activity B must be finite$"):
             build_potts_matrix(3, B)
+
+
+def test_potts_matrix_keeps_its_last_model():
+    build_potts_matrix.cache_clear()
+    m = build_potts_matrix(4, 2.5)
+    assert build_potts_matrix(4, 2.5) is m
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries[0, 0] = 7.0
+    # another (q, B) replaces it; the model built after that is not stale
+    other = build_potts_matrix(3, 1.5)
+    assert other.q == 3 and other.entries[0, 0] == 1.5
+    again = build_potts_matrix(4, 2.5)
+    fresh = interaction_matrix(np.ones((4, 4)) + 1.5 * np.eye(4))
+    assert again.q == 4 and np.array_equal(again.entries, fresh.entries)
+    assert again.signature is fresh.signature and again.ergodic is fresh.ergodic
+    assert not again.entries.flags.writeable
+    # a rejected activity is never kept: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^Potts activity B must be positive$"):
+            build_potts_matrix(4, -2.5)
+        with pytest.raises(ValueError, match="^Potts activity B must be finite$"):
+            build_potts_matrix(4, float("nan"))
+    assert build_potts_matrix(4, 2.5) is again
 
 
 def test_potts_matrix_matches_the_generic_constructor():

@@ -312,16 +312,20 @@ def test_root_scan_rejects_an_activity_beyond_its_grid():
 
 
 def test_root_scan_rejects_a_non_finite_activity():
-    reaching_the_scan = [
+    # these test finiteness before the sign of B - 1, so NaN and -inf get the
+    # same line as inf
+    finiteness_first = [
         treefix.majority_ratio,
         majority_fixpoint,
         ordered_root_marginal,
         moments.dif_value,
         lambda q, delta, B: two_value_roots(q, delta, B, 1),
+        potts_fixpoints,
+        moments.potts_phase_diagram,
     ]
-    past_a_b_check = [potts_fixpoints, graphs.reduction_constants, swsim.expected_mono, swsim.ordered_phase_vector]
+    past_a_b_check = [graphs.reduction_constants, swsim.expected_mono, swsim.ordered_phase_vector]
     for B in (math.inf, -math.inf, math.nan):
-        for f in reaching_the_scan + (past_a_b_check if B == math.inf else []):
+        for f in finiteness_first + (past_a_b_check if B == math.inf else []):
             with pytest.raises(ValueError, match=f"activity B must be finite, got {B}"):
                 f(3, 3, B)
 
@@ -496,13 +500,10 @@ def test_damped_iterate_stops_a_period_2_row(monkeypatch):
 def _loop_two_value_roots(q, delta, B, t):
     """Point-by-point form of the grid scans in two_value_roots: the
     reference the vectorised scans must match exactly."""
-    from potts_lab.treefix import _activity_of_ratio, _bisect, _golden_min
+    from potts_lab.treefix import _bisect, _golden_min, _ratio_equation
 
     d = delta - 1
-
-    def g(y):
-        return _activity_of_ratio(y, q, d, t) - (B - 1.0)
-
+    g = _ratio_equation(q, d, t, B - 1.0)
     ys = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
     with np.errstate(over="ignore", invalid="ignore"):
         gs = (ys - 1.0) * (t * ys**d + q - t) / (ys**d - ys) - (B - 1.0)
