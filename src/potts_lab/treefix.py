@@ -27,20 +27,13 @@ from .spinsys import InteractionMatrix, build_potts_matrix
 FIXPOINT_RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 BISECT_TOL = 1e-13
-GOLDEN_TOL = 1e-12
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
 FIND_FIXPOINT_STARTS = 200
 # floating-point states of canonicalising a row whose quadratic form is zero or overflows
 _UNSCALABLE = dict(divide="ignore", over="ignore", invalid="ignore")
-
-# two_value_roots' scan grid on (1, 2^20) and its y - 1, shared read-only by every
-# call; every root lies below y = 1 + (B-1)/t <= B, so a scan stops two points
-# past the first grid point >= B
-_Y_GRID = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
-_Y_GRID.flags.writeable = False
-_Y_GRID_M1 = _Y_GRID - 1.0
-_Y_GRID_M1.flags.writeable = False
+# a two-value root y = x^(1/(Delta-1)) closer to 1 than this is the uniform fixpoint
+Y_MIN = 1.0 + 1e-6
 
 ATTRACTIVE = "attractive"
 UNSTABLE = "unstable"
@@ -205,7 +198,7 @@ def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> lis
 
 def _bisect(f, lo: float, hi: float) -> float:
     """A root of f in [lo, hi], to BISECT_TOL relative to lo.  Every caller's
-    bracket lies in [1 + 1e-6, inf), so lo >= 1 is its own scale."""
+    bracket lies in [Y_MIN, inf), so lo >= 1 is its own scale."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -226,122 +219,87 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _golden_min(f, lo: float, hi: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL * max(1.0, abs(a)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _ratio_equation(q: int, d: int, t: int, target: float):
-    """The two-value fixpoint equation g(y) = a(y) - target, where a(y) is
-    B - 1 as a function of the ratio y = (R_1/R_q)^(1/d).  One closure per t,
-    so each evaluation in a bisection is one Python call."""
-
-    def g(y: float) -> float:
-        yd = y**d
-        return (y - 1.0) * (t * yd + q - t) / (yd - y) - target
-
-    return g
-
-
 @functools.cache
-def _grid_power(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """_Y_GRID**d and _Y_GRID**d - _Y_GRID, read-only and shared by every
-    two_value_roots call at degree d + 1."""
-    with np.errstate(over="ignore"):
-        yd = _Y_GRID**d
-        denom = yd - _Y_GRID
-    yd.flags.writeable = False
-    denom.flags.writeable = False
-    return yd, denom
+def _curve_minimum(q: int, delta: int, t: int) -> tuple:
+    """The activity curve a_t of fixpoints with t coordinates at ratio x and
+    the rest at 1, its minimiser y* on [Y_MIN, inf) and its minimum a_t(y*).
+
+    With d = delta - 1, s = q - t and u = log y, a fixpoint at
+    y = x^(1/d) > 1 has activity B = 1 + a_t(y), where
+      a_t(y) = (y - 1)(t + s e^(-d u)) / -expm1(-(d - 1) u),
+    which has no cancellation near y = 1 and overflows at no d or y.  a_t
+    falls, then rises (a_t(y) = B - 1 has at most two roots above 1, by
+    Descartes' rule), and its slope has the sign of
+      P_t(y) = t - t d y^(1-d) + (d-1)(t-s) y^(-d) + s d y^(-d-1) - s y^(-2d).
+    P_t(1) = P_t'(1) = 0 and P_t''(1) = d(d-1)(t-s), so a_t dips just above
+    1 only when 2t < q, and otherwise rises from Y_MIN on.  Cached: a pure
+    function of (q, delta, t)."""
+    d = delta - 1
+    s = q - t
+
+    def a(y: float) -> float:
+        u = math.log1p(y - 1.0)
+        return (y - 1.0) * (t + s * math.exp(-d * u)) / -math.expm1(-(d - 1) * u)
+
+    def p(y: float) -> float:
+        return t - t * d * y ** (1 - d) + (d - 1) * (t - s) * y**-d + s * d * y ** (-d - 1) - s * y ** (-2 * d)
+
+    y = Y_MIN
+    if 2 * t < q:
+        hi = 2.0
+        while p(hi) <= 0:  # P_t tends to t > 0
+            hi *= 2.0
+        y = _bisect(p, Y_MIN, hi)
+    return a, y, a(y)
 
 
 def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
-    """All y > 1 with activity B for fixpoints having t large coordinates.
+    """All y >= Y_MIN, in increasing order, at which fixpoints with t large
+    coordinates at ratio x = y^(delta-1) have activity B.
 
-    Scans a geometric grid on (1, 2^20) for sign changes of the fixpoint
-    equation and refines by bisection; grid local minima are polished by
-    golden section so that near-tangent root pairs are not missed.  Every
-    root lies below y = 1 + (B-1)/t <= B, so the scan stops two grid points
-    past the first one >= B (at the grid's end when B is past it).  Raises
-    for a non-finite B, and when the equation is still negative at the last
-    scanned point where it is finite, since the largest root then lies
-    beyond the scan.  The one-row case of _root_scan.
-    """
-    return _root_scan(q, delta, B, [t])[0]
-
-
-def _root_scan(q: int, delta: int, B: float, ts) -> list[list[float]]:
-    """two_value_roots for each t in ts, from one (len(ts), n) array over the
-    first n grid points.  The array is elementwise, so each row has the bits
-    of a scan of that t alone."""
+    With c = B - 1 and the minimum m of a_t at y* (_curve_minimum): no root
+    when m > c, the one root y* when m = c, and otherwise one root on a_t's
+    rising side and one on its falling side when a_t(Y_MIN) > c.  A root
+    closer to 1 than Y_MIN is the uniform fixpoint.  Raises for a degree
+    below 3 or a non-finite B."""
     if delta < 3:
         raise ValueError("need degree delta >= 3")
     if not math.isfinite(B):
         raise ValueError(f"activity B must be finite, got {B}")
-    d = delta - 1
-    target = B - 1.0
-    # With d = delta - 1, g has the sign of
-    #   r(y) = t y^d + (q - t) - (B - 1)(y + ... + y^(d-1)),
-    # and y + ... + y^(d-1) < y^d / (y - 1), so r > 0 for every
-    # y >= 1 + (B - 1)/t, which is <= B.  No zero, sign change or near-tangent
-    # minimum lies past the first grid point >= B; the two points after it
-    # give that point's neighbours and a positive last value for the guard
-    # (g >= t(y - 1) - (B - 1) > 3e-3 there, the grid ratio being 1.0035).
-    # Where the powers overflow below the cut, the prefix holds the same
-    # last finite value as the whole grid.
-    n = min(int(np.searchsorted(_Y_GRID, B)) + 3, len(_Y_GRID))
-    T = np.asarray(ts)[:, None]
-    yd, denom = _grid_power(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gs = _Y_GRID_M1[:n] * (T * yd[:n] + q - T) / denom[:n] - target
-        crossing = gs[:, :-1] * gs[:, 1:] < 0
-    # the non-finite values, where the powers overflow, are a suffix of each row
-    last = gs[np.arange(len(gs)), n - 1 - np.argmax(np.isfinite(gs)[:, ::-1], axis=1)]
-    if (last < 0).any():
-        raise ValueError(f"activity B = {B} puts a fixpoint beyond the root scan (y < 2^20)")
-    gfs = [_ratio_equation(q, d, t, target) for t in ts]
-    roots: list[list[float]] = [[] for _ in gfs]
-    for k, i in zip(*np.nonzero(gs[:, :-1] == 0.0)):
-        roots[k].append(float(_Y_GRID[i]))
-    for k, i in zip(*np.nonzero(crossing)):
-        roots[k].append(_bisect(gfs[k], float(_Y_GRID[i]), float(_Y_GRID[i + 1])))
-    # near-tangency: a positive local grid minimum below 1e-3 may hide a root
-    # pair; only the few interior points in (0, 1e-3) are compared with their
-    # neighbours, and mostly there are none
-    small = (gs[:, 1:-1] > 0) & (gs[:, 1:-1] < 1e-3)
-    if small.any():
-        rows, near = np.nonzero(small)
-        near += 1
-        tangent = (gs[rows, near] <= gs[rows, near - 1]) & (gs[rows, near] <= gs[rows, near + 1])
-        for k, i in zip(rows[tangent], near[tangent]):
-            g, lo, hi = gfs[k], float(_Y_GRID[i - 1]), float(_Y_GRID[i + 1])
-            ymin = _golden_min(g, lo, hi)
-            gmin = g(ymin)
-            if gmin < 0:
-                roots[k].append(_bisect(g, lo, ymin))
-                roots[k].append(_bisect(g, ymin, hi))
-            elif gmin <= 1e-12:
-                roots[k].append(ymin)
-    for k, row in enumerate(roots):
-        dedup: list[float] = []
-        for y in sorted(row):
-            if not dedup or abs(y - dedup[-1]) > 1e-9 * max(1.0, y):
-                dedup.append(y)
-        roots[k] = dedup
+    c = B - 1.0
+    a, ystar, m = _curve_minimum(q, delta, t)
+    if m > c:
+        return []
+    if m == c:
+        return [ystar]
+
+    def g(y: float) -> float:
+        return a(y) - c
+
+    roots = []
+    if ystar > Y_MIN and g(Y_MIN) > 0:
+        roots.append(_bisect(g, Y_MIN, ystar))
+    # g has the sign of r(y) = t y^d + (q - t) - c (y + ... + y^(d-1)) with
+    # d = delta - 1, and y + ... + y^(d-1) < y^d / (y - 1), so r > 0 for
+    # every y >= 1 + c/t; a g(hi) that is not positive is a rounding of a
+    # root at hi itself
+    hi = 1.0 + c / t
+    roots.append(_bisect(g, ystar, hi) if g(hi) > 0 else hi)
     return roots
+
+
+def _two_value_ratio(B: float, delta: int, y: float) -> float:
+    """x = y^(delta-1) at a two-value root y.  Raises unless B x, the largest
+    entry of B R at the row R = (x, .., x, 1, .., 1), is a finite float: past
+    that bound the phase diagram's gap overflows at t = 1 and, further out,
+    the row's canonical form underflows to zero."""
+    try:
+        x = y ** (delta - 1)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(B * x):
+        raise ValueError(f"activity B = {B} puts a fixpoint ratio x with B x past a float at delta = {delta}")
+    return x
 
 
 def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
@@ -365,16 +323,16 @@ def _potts_fixpoints(q: int, delta: int, B: float) -> tuple[Fixpoint, ...]:
         raise ValueError(f"activity B must be finite, got {B}")
     if not B > 1:
         raise ValueError("Potts fixpoint enumeration expects the ferromagnetic regime B > 1")
-    d = delta - 1
-    ts = range(1, q)
-    structures = [(q, 1.0)] + [(t, y**d) for t, ys in zip(ts, _root_scan(q, delta, B, ts)) for y in ys]
+    structures = [(q, 1.0)] + [
+        (t, _two_value_ratio(B, delta, y)) for t in range(1, q) for y in two_value_roots(q, delta, B, t)
+    ]
     return tuple(two_value_fixpoints(build_potts_matrix(q, B), delta, structures))
 
 
 def majority_ratio(q: int, delta: int, B: float) -> float | None:
     """The largest ratio x = R_1/R_q of a majority (t = 1) fixpoint, or None below Bu."""
     roots = two_value_roots(q, delta, B, 1)
-    return max(roots) ** (delta - 1) if roots else None
+    return _two_value_ratio(B, delta, max(roots)) if roots else None
 
 
 def majority_fixpoint(q: int, delta: int, B: float) -> Fixpoint | None:
@@ -385,45 +343,19 @@ def majority_fixpoint(q: int, delta: int, B: float) -> Fixpoint | None:
     return two_value_fixpoints(build_potts_matrix(q, B), delta, [(1, x)])[0]
 
 
-def uniqueness_polynomial(y: float, q: int, d: int) -> float:
-    """Polynomial whose root above 1 marks the uniqueness threshold Bu."""
-    return (
-        y ** (2 * d)
-        - d * y ** (d + 1)
-        - (d - 1) * (q - 2) * y**d
-        + d * (q - 1) * y ** (d - 1)
-        - (q - 1)
-    )
-
-
 @functools.cache
 def potts_thresholds(q: int, delta: int) -> PottsThresholds:
     """The activity thresholds Bu (tree uniqueness), Bo (phase coexistence)
     and Brc (random-cluster) for the q-state Potts model on degree delta.
+    Bu is 1 plus the minimum of the majority (t = 1) activity curve.
 
     Cached: the result is a frozen record of floats, a pure function of q and
     delta.  A call that raises is not cached."""
     if q < 3 or delta < 3:
         raise ValueError("thresholds need q >= 3 and delta >= 3")
-    d = delta - 1
     Brc = 1.0 + q / (delta - 2)
     Bo = (q - 2) / ((q - 1) ** (1.0 - 2.0 / delta) - 1.0)
-
-    def p(y):
-        return uniqueness_polynomial(y, q, d)
-
-    # p has a double root at 1 and dips negative just above it
-    hi = 2.0
-    try:
-        while p(hi) <= 0:
-            hi *= 2.0
-            if hi > 2.0**40:
-                raise RuntimeError("failed to bracket the uniqueness root")
-    except OverflowError:
-        raise ValueError(f"the uniqueness polynomial overflows a float at delta = {delta}") from None
-    rho = _bisect(p, 1.0 + 1e-6, hi)
-    Bu = 1.0 + (rho - 1.0) * (rho**d + q - 1.0) / (rho**d - rho)
-    return PottsThresholds(Bu=Bu, Bo=Bo, Brc=Brc)
+    return PottsThresholds(Bu=1.0 + _curve_minimum(q, delta, 1)[2], Bo=Bo, Brc=Brc)
 
 
 def ordered_root_marginal(q: int, delta: int, B: float) -> float:

@@ -839,15 +839,15 @@ def test_sw_run_checks_start_before_any_work(tmp_path, monkeypatch, capsys, star
 @pytest.mark.parametrize(
     "argv,message",
     [
-        ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint beyond the root scan"),
+        ("fixpoints --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint ratio x with B x past a float at delta = 61"),
         ("fixpoints --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
         ("fixpoints --q 3 --delta 3 --B nan", "activity B must be finite, got nan"),
         ("phase-diagram --q 3 --delta 3 --B inf", "activity B must be finite, got inf"),
         ("phase-diagram --q 3 --delta 3 --B nan", "activity B must be finite, got nan"),
-        ("phase-diagram --q 3 --delta 3 --B 1.05e6", "activity B = 1050000.0 puts a fixpoint beyond the root scan"),
-        ("thresholds --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
-        ("phase-diagram --q 3 --delta 600 --B 2", "the uniqueness polynomial overflows a float at delta = 600"),
-        ("sweep dif --q 3 --delta 513", "the uniqueness polynomial overflows a float at delta = 513"),
+        ("fixpoints --q 3 --delta 3 --B 1e300", "activity B = 1e+300 puts a fixpoint ratio x with B x past a float at delta = 3"),
+        ("fixpoints --q 3 --delta 2000 --B 2", "activity B = 2.0 puts a fixpoint ratio x with B x past a float at delta = 2000"),
+        ("phase-diagram --q 3 --delta 61 --B 2e5", "activity B = 200000.0 puts a fixpoint ratio x with B x past a float at delta = 61"),
+        ("phase-diagram --q 3 --delta 3 --B 1e150", "activity B = 1e+150 puts a fixpoint ratio x with B x past a float at delta = 3"),
     ],
 )
 def test_out_of_range_inputs_are_one_error_line(tmp_path, capsys, argv, message):
@@ -874,10 +874,41 @@ def test_fixpoints_store_a_majority_row_whose_quadratic_form_overflows(tmp_path)
     assert fps[1]["x"] > 1e170 and fps[1]["stability"] == "attractive"
 
 
-def test_sweep_thresholds_records_the_overflowing_degree(tmp_path):
-    argv = ["sweep", "thresholds", "--q-min", "3", "--q-max", "3", "--delta-min", "512", "--delta-max", "513"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fixpoints --q 3 --delta 3 --B 1.05e6",
+        "phase-diagram --q 3 --delta 3 --B 1.05e6",
+        "thresholds --q 3 --delta 513",
+        "phase-diagram --q 3 --delta 600 --B 2",
+        "sweep dif --q 3 --delta 513",
+    ],
+)
+def test_inputs_past_the_old_caps_exit_0(tmp_path, argv):
+    # the old root grid ended at y = 2^20 and the old uniqueness polynomial
+    # overflowed at delta = 513
+    name = "out.csv" if argv.startswith("sweep") else "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, path = run_to_file(tmp_path, name, argv.split())
+    assert rc == 0
+    if argv.startswith("sweep"):
+        rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+        assert len(rows) == 50 and all(row[3] == "" for row in rows)
+        assert [row[2] for row in rows[:1] + rows[-1:]] == ["disordered-dominant", "ordered-dominant"]
+        return
+    payload = json.loads(path.read_text())
+    if argv.startswith("fixpoints"):
+        assert len(payload["fixpoints"]) == 3 and all(fp["residual"] < 1e-10 for fp in payload["fixpoints"])
+    else:
+        assert 1 < payload["Bu"] < payload["Bo"] < payload["Brc"]
+
+
+def test_sweep_thresholds_records_a_failing_row(tmp_path):
+    argv = ["sweep", "thresholds", "--q-min", "2", "--q-max", "3", "--delta-min", "512", "--delta-max", "513"]
     rc, path = run_to_file(tmp_path, "th.csv", argv)
     assert rc == 1
-    rows = path.read_text().splitlines()[-2:]
-    assert rows[0].startswith("3,512,1.00538") and rows[0].endswith(",ok,")
-    assert rows[1] == "3,513,nan,nan,nan,,the uniqueness polynomial overflows a float at delta = 513"
+    rows = path.read_text().splitlines()[-4:]
+    assert rows[0] == "2,512,nan,nan,nan,,thresholds need q >= 3 and delta >= 3"
+    assert rows[2].startswith("3,512,1.00538") and rows[2].endswith(",ok,")
+    assert rows[3].startswith("3,513,1.00537") and rows[3].endswith(",ok,")

@@ -27,9 +27,9 @@ from potts_lab.moments import (
 from potts_lab.spinsys import Phase, SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
 
 
-# recorded once each fixpoint took its spectrum at its stored R; a phase query
-# that rebuilds nothing must not move a single output bit
-PINNED_PHASE_QUERY_DIGEST = "014931dee26553bc7a80c2060a70700e581f5b386955bc3fb7899917a3e30829"
+# recorded once the two-value roots came from the activity curve's minima; a
+# phase query that rebuilds nothing must not move a single output bit
+PINNED_PHASE_QUERY_DIGEST = "bf0bd24fdc64b58720e95ac5ae4a20439da47c3b61a79716f18a5a3293166313"
 
 
 def colorings_matrix(q=3):
@@ -408,7 +408,8 @@ def test_sinkhorn_raises_when_the_support_cannot_carry_the_marginals():
 
 def test_criterion_4_cells_match_pinned_values(criterion_4_run):
     # checked on criterion 4's own moment reports (see conftest.py);
-    # recorded with one norm ascent per start; stepping the starts as one
+    # recorded with one norm ascent per start and re-recorded once the
+    # two-value roots came from the activity curve's minima; stepping the starts as one
     # array may move the norm in its last bits, psi1 and psi2 not at all
     reports = criterion_4_run[1]
     cells = json.loads((Path(__file__).parent / "pinned_moment_cells.json").read_text())

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from potts_lab.treefix import (
     ATTRACTIVE,
     MARGINAL,
     UNSTABLE,
+    Y_MIN,
     canonical,
     classify_stability,
     find_fixpoints,
@@ -209,24 +212,14 @@ def test_thresholds_cache_keeps_values_and_never_caches_a_rejection():
     assert after is not before and after == before
 
 
-def test_grid_power_is_cached_read_only_and_exact():
-    assert not treefix._Y_GRID_M1.flags.writeable
-    assert treefix._Y_GRID_M1.tobytes() == (treefix._Y_GRID - 1.0).tobytes()
-    for d in (2, 5, 9, 70):  # 70 overflows to inf at the top of the grid
-        yd, denom = treefix._grid_power(d)
-        assert treefix._grid_power(d) is treefix._grid_power(d)
-        assert not yd.flags.writeable and not denom.flags.writeable
-        with np.errstate(over="ignore"):
-            assert np.array_equal(yd, treefix._Y_GRID**d)
-            assert np.array_equal(denom, treefix._Y_GRID**d - treefix._Y_GRID)
-
-
-def test_thresholds_reject_an_overflowing_degree():
-    # the uniqueness polynomial's y^(2(Delta-1)) overflows at the bracket y = 2
+def test_thresholds_hold_past_the_old_degree_cap():
+    # Bu comes from the majority activity curve, which holds only non-positive
+    # powers of y, so no degree overflows it
     assert potts_thresholds(3, 512).Bu > 1
     for q in (3, 10):
-        with pytest.raises(ValueError, match="delta = 513"):
-            potts_thresholds(q, 513)
+        for delta in (513, 600, 2000, 10**6):
+            th = potts_thresholds(q, delta)
+            assert 1 < th.Bu < th.Bo < th.Brc
 
 
 def test_nan_residual_is_not_a_fixpoint():
@@ -273,8 +266,8 @@ def test_potts_fixpoints_keeps_its_last_enumeration():
     assert potts_fixpoints(5, 4, 3.0) == first
     # a call that raises is not kept, and does not evict the last enumeration
     for _ in range(2):
-        with pytest.raises(ValueError, match="beyond the root scan"):
-            potts_fixpoints(3, 3, 1.05e6)
+        with pytest.raises(ValueError, match="B x past a float at delta = 3"):
+            potts_fixpoints(3, 3, 1e300)
     assert all(a is b for a, b in zip(potts_fixpoints(5, 4, 3.0), first))
     # alternating keys recompute, to the same bits
     other = potts_fixpoints(5, 4, 4.0)
@@ -285,30 +278,38 @@ def test_potts_fixpoints_keeps_its_last_enumeration():
 
 
 def test_phase_query_enumerates_fixpoints_once(monkeypatch):
-    """A phase diagram followed by potts_fixpoints at the same activity makes
-    one root scan covering every t and builds the fixpoints in one batched
-    pass."""
-    scans, passes = [], []
-    real_scan, real_make = treefix._root_scan, treefix.make_fixpoints
-    monkeypatch.setattr(treefix, "_root_scan", lambda *a: scans.append(a) or real_scan(*a))
+    """A phase diagram followed by potts_fixpoints at the same activity finds
+    the roots of every t once and builds the fixpoints in one batched pass."""
+    calls, passes = [], []
+    real_roots, real_make = treefix.two_value_roots, treefix.make_fixpoints
+    monkeypatch.setattr(treefix, "two_value_roots", lambda *a: calls.append(a) or real_roots(*a))
     monkeypatch.setattr(treefix, "make_fixpoints", lambda *a: passes.append(a) or real_make(*a))
     for q, delta, B in [(3, 3, 4.5), (6, 4, 5.0), (10, 5, 1.5)]:
-        scans.clear()
+        calls.clear()
         passes.clear()
         treefix._potts_fixpoints.cache_clear()
         pd = moments.potts_phase_diagram(q, delta, B)
         potts_fixpoints(q, delta, B)
         assert pd.local_maxima
-        assert [list(a[3]) for a in scans] == [list(range(1, q))] and len(passes) == 1
+        assert calls == [(q, delta, B, t) for t in range(1, q)] and len(passes) == 1
 
 
-def test_root_scan_rejects_an_activity_beyond_its_grid():
-    # the majority root y ~ B - 1 passes 2^20, where the t = 1 equation is still negative
-    # at Delta = 61 the scan's (y - 1) y^60 overflows past y ~ 1.13e5, below that root
-    for q, delta, B in [(3, 3, 1.05e6), (10, 3, 2e6), (3, 61, 2e5)]:
-        with pytest.raises(ValueError, match="beyond the root scan"):
-            potts_fixpoints(q, delta, B)
+def test_two_value_roots_reach_activities_past_the_old_grid():
+    # the majority root y ~ B - 1 lies past 2^20, where the old grid ended
+    for q, delta, B in [(3, 3, 1.05e6), (10, 3, 2e6)]:
+        fps = potts_fixpoints(q, delta, B)
+        assert all(fp.residual < 1e-10 for fp in fps)
+        assert max(two_value_roots(q, delta, B, 1)) > 2.0**20
     assert moments.potts_phase_diagram(3, 3, 1e6).regime == "ordered-only"
+    # far out, the computed curve at the bound 1 + (B-1)/t rounds to just
+    # below B - 1; that bound is then the root
+    assert two_value_roots(4, 4, 9e15, 3) == [1.0 + (9e15 - 1.0) / 3]
+    assert all(fp.residual < 1e-10 for fp in potts_fixpoints(4, 4, 9e15))
+    # x = y^60 overflows a float at Delta = 61; x = y^2 = 1e300 does not at
+    # Delta = 3, but B x does, and the row's canonical form underflows
+    for q, delta, B in [(3, 61, 2e5), (3, 3, 1e150), (3, 2000, 2.0)]:
+        with pytest.raises(ValueError, match=re.escape(f"activity B = {B} puts a fixpoint ratio x with B x past a float")):
+            potts_fixpoints(q, delta, B)
 
 
 def test_root_scan_rejects_a_non_finite_activity():
@@ -497,67 +498,66 @@ def test_damped_iterate_stops_a_period_2_row(monkeypatch):
     assert find_fixpoints(interaction_matrix(np.ones((3, 3)) - np.eye(3)), 10) == []
 
 
-def _loop_two_value_roots(q, delta, B, t):
-    """Point-by-point form of the grid scans in two_value_roots: the
-    reference the vectorised scans must match exactly."""
-    from potts_lab.treefix import _bisect, _golden_min, _ratio_equation
-
+def _exact_poly(q, delta, B, t):
+    """r(y) = t y^d + (q - t) - (B - 1)(y + ... + y^(d-1)) and its derivative,
+    in exact rational arithmetic at the float B; a_t(y) - (B - 1) has the sign
+    of r for y > 1."""
     d = delta - 1
-    g = _ratio_equation(q, d, t, B - 1.0)
-    ys = np.geomspace(1.0 + 1e-6, 2.0**20, 4001)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gs = (ys - 1.0) * (t * ys**d + q - t) / (ys**d - ys) - (B - 1.0)
-    roots = []
-    for i in range(len(ys) - 1):
-        if gs[i] == 0.0:
-            roots.append(float(ys[i]))
-        elif gs[i] * gs[i + 1] < 0:
-            roots.append(_bisect(g, float(ys[i]), float(ys[i + 1])))
-    for i in range(1, len(ys) - 1):
-        if gs[i] > 0 and gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1] and gs[i] < 1e-3:
-            ymin = _golden_min(g, float(ys[i - 1]), float(ys[i + 1]))
-            gmin = g(ymin)
-            if gmin < 0:
-                roots.append(_bisect(g, float(ys[i - 1]), ymin))
-                roots.append(_bisect(g, ymin, float(ys[i + 1])))
-            elif gmin <= 1e-12:
-                roots.append(ymin)
-    roots.sort()
-    dedup = []
-    for y in roots:
-        if not dedup or abs(y - dedup[-1]) > 1e-9 * max(1.0, y):
-            dedup.append(y)
-    return dedup
+    c = Fraction(B) - 1
+
+    def r(y):
+        y = Fraction(y)
+        return t * y**d + (q - t) - c * sum(y**k for k in range(1, d))
+
+    def dr(y):
+        y = Fraction(y)
+        return t * d * y ** (d - 1) - c * sum(k * y ** (k - 1) for k in range(1, d))
+
+    return r, dr
 
 
-def test_two_value_roots_matches_loop_reference():
-    # just under the grid's end; and at Delta = 61 just under where (y - 1) y^60
-    # overflows (y ~ 1.13e5), so that the scanned prefix ends on a NaN
-    cases = [(3, 3, 1e6), (3, 61, 1.125e5)]
-    for q, delta in ((3, 3), (4, 5), (6, 3), (10, 10)):
-        th = potts_thresholds(q, delta)
-        # next to B = 1, near-tangent pairs on both sides of Bu, Bo and Brc
-        near_bu = (th.Bu - 1e-10, th.Bu + 1e-10, th.Bu + 1e-4)
-        for B in (1 + 1e-9, 1.05, *near_bu, th.Bo, th.Brc, 0.5 * (th.Bu + th.Brc), 2 * th.Brc):
-            cases.append((q, delta, B))
-    for q, delta, B in cases:
-        ts = range(1, q)
-        want = [_loop_two_value_roots(q, delta, B, t) for t in ts]
-        assert treefix._root_scan(q, delta, B, ts) == want
-        assert [two_value_roots(q, delta, B, t) for t in ts] == want
-    assert two_value_roots(3, 3, 1e6, 1)[-1] > 9.9e5 and two_value_roots(3, 61, 1.125e5, 1)[-1] > 1.12e5
+def test_two_value_roots_against_an_exact_referee():
+    """Every returned root brackets a sign change of the exact r, and the root
+    count is the one fixed by the exact signs of r at Y_MIN, at the curve's
+    minimiser y* and at 1 + (B - 1)/t."""
+    cells = [(q, 3, 1.05e6) for q in (3, 4, 6, 10)]
+    for q in (3, 4, 6, 10):
+        for delta in (3, 4, 6, 10):
+            th = potts_thresholds(q, delta)
+            near_bu = (th.Bu * (1 - 1e-9), th.Bu * (1 + 1e-9), th.Bu + 1e-4)
+            for B in (1 + 1e-9, 1.05, *near_bu, th.Bo, th.Brc, 0.5 * (th.Bu + th.Brc), 2 * th.Brc):
+                cells.append((q, delta, B))
+    tangent = 0
+    for q, delta, B in cells:
+        for t in range(1, q):
+            r, dr = _exact_poly(q, delta, B, t)
+            roots = two_value_roots(q, delta, B, t)
+            _, ystar, m = treefix._curve_minimum(q, delta, t)
+            eps = Fraction(1, 10**12)
+            if m == B - 1:
+                # the curve's minimum is B - 1: the one root is r's double
+                # root, where r' changes sign (q = 10, Delta = 3, B = 9, t = 2)
+                assert roots == [ystar] and dr(ystar * (1 - eps)) < 0 < dr(ystar * (1 + eps))
+                tangent += 1
+                continue
+            # next to a tangency |a_t'| at a root shrinks like the square root
+            # of the relative gap between B - 1 and the minimum (about 1e-9 at
+            # Bu(1 + 1e-9)), and an evaluation error moves the root by that much more
+            if abs(m - (B - 1)) <= 1e-6 * (B - 1):
+                eps = Fraction(1, 10**11)
+            for y in roots:
+                assert r(Fraction(y) * (1 - eps)) * r(Fraction(y) * (1 + eps)) < 0
+            assert r(1 + (Fraction(B) - 1) / t) > 0
+            want = 0 if r(ystar) > 0 else 1 + (ystar > Y_MIN and r(Y_MIN) > 0)
+            assert len(roots) == want
+    assert tangent == 1
 
 
-def test_root_scan_cut_holds_in_floats():
-    """From the first grid point >= B on, the scanned equation is positive for
-    every t, and past that point it stays above the 1e-3 of the tangency
-    test: on the criterion-3 grid nothing the scan skips could hold a root."""
-    grid, m1 = treefix._Y_GRID, treefix._Y_GRID_M1
+def test_no_two_value_fixpoint_next_to_the_uniform_one_at_Brc():
+    # at B = Brc every t's curve passes through B - 1 at y = 1, the uniform
+    # fixpoint; a root closer to 1 than Y_MIN is that fixpoint, not another
     for q in range(3, 11):
-        T = np.arange(1, q)[:, None]
         for delta in range(3, 11):
-            yd, denom = treefix._grid_power(delta - 1)
-            for B in np.linspace(1.05, 2 * potts_thresholds(q, delta).Brc, 20):
-                j = int(np.searchsorted(grid, B))
-                gs = m1[j:] * (T * yd[j:] + q - T) / denom[j:] - (B - 1.0)
-                assert (gs[:, 0] > 0).all() and (gs[:, 1:] > 1e-3).all()
+            fps = potts_fixpoints(q, delta, potts_thresholds(q, delta).Brc)
+            assert fps[0].potts_structure == (q, 1.0)
+            assert all(fp.potts_structure[1] >= 1 + 1e-4 for fp in fps[1:])
