@@ -17,7 +17,6 @@ from .treefix import (
     PottsThresholds,
     classify_stability,
     find_fixpoints,
-    majority_fixpoint,
     ordered_root_marginal,
     potts_fixpoints,
     potts_thresholds,

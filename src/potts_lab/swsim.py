@@ -12,7 +12,7 @@ contracting each level to the trees that still share a kept edge.
 
 The module also carries the disordered/ordered expected monochromatic edge
 densities E_u and E_m and the ordered phase vector (all three from one
-majority fixpoint per call), the U/M/T configuration classes built from them,
+majority ratio per call), the U/M/T configuration classes built from them,
 an exact transition kernel for tiny instances with its row-blocked error
 check, and conductance evaluation for the phase cut, the states whose
 dominant color is a given one.  The exact kernel sums subset by subset over
@@ -124,24 +124,30 @@ def sw_step(g: RegularGraph, q: int, B: float, colors, rng) -> np.ndarray:
 
 
 def _reference(q: int, delta: int, B: float):
-    """(E_u, E_m, vec) from one majority fixpoint: the per-vertex expected
+    """(E_u, E_m, vec) from the majority ratio x: the per-vertex expected
     monochromatic edge counts of the disordered and ordered phases and the
     color-0 ordered phase vector.  E_m and vec are None below the uniqueness
-    threshold, where no majority fixpoint exists.  Raises for an activity
-    that is not finite and positive, before any arithmetic."""
+    threshold, where no majority fixpoint exists.  Both are written in
+    r = 1/x, so no power of x is formed; vec is alpha_from_ratio of the
+    majority fixpoint.  Raises for an activity that is not finite and
+    positive, before any arithmetic."""
     if not math.isfinite(B):
         raise ValueError(f"activity B must be finite, got {B}")
     if not B > 0:
         raise ValueError(f"activity B must be positive, got {B}")
     E_u = 0.5 * delta * B / (q + B - 1.0)
-    fp = treefix.majority_fixpoint(q, delta, B) if B > 1 else None
-    if fp is None:
+    x = treefix.majority_ratio(q, delta, B) if B > 1 else None
+    if x is None:
         return E_u, None, None
-    x = fp.potts_structure[1]
-    E_m = 0.5 * delta * B * (x**2 + q - 1) / ((x + q - 1) ** 2 + (B - 1) * (x**2 + q - 1))
-    a = float(np.max(fp.alpha))
-    vec = np.full(q, (1.0 - a) / (q - 1.0))
-    vec[0] = a
+    r = 1.0 / x
+    square = 1.0 + (q - 1) * r**2
+    E_m = 0.5 * delta * B * square / ((1.0 + (q - 1) * r) ** 2 + (B - 1.0) * square)
+    # r^p with p = delta/(delta - 1), as r r^(1/(delta - 1)): rounding p
+    # itself would cost |log r| ulps
+    rp = r * r ** (1.0 / (delta - 1))
+    den = 1.0 + (q - 1) * rp
+    vec = np.full(q, rp / den)
+    vec[0] = 1.0 / den
     return E_u, E_m, vec
 
 

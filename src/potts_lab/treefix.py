@@ -30,7 +30,7 @@ BISECT_TOL = 1e-13
 DAMPED_STEP_TOL = 1e-15
 DAMPED_MAX_STEPS = 20000
 FIND_FIXPOINT_STARTS = 200
-# floating-point states of canonicalising a row whose quadratic form is zero or overflows
+# floating-point states of canonicalising a zero row
 _UNSCALABLE = dict(divide="ignore", over="ignore", invalid="ignore")
 # a two-value root y = x^(1/(Delta-1)) closer to 1 than this is the uniform fixpoint
 Y_MIN = 1.0 + 1e-6
@@ -64,20 +64,12 @@ class PottsThresholds:
 
 
 def canonical(model: InteractionMatrix, R) -> np.ndarray:
-    """Rescale R (or each row of a stack of them) so that sum_ij B_ij R_i R_j = 1.
-
-    A row whose quadratic form overflows a float is first divided by its max
-    and its form taken again; every other row keeps the bits of one division
-    by the square root of its form.  The overflowing product still raises
-    numpy's overflow warning unless the caller silences it, as
-    make_fixpoints does."""
+    """Rescale R (or each row of a stack of them) so that sum_ij B_ij R_i R_j = 1:
+    each row is divided by its max, so that its quadratic form cannot
+    overflow, then by the square root of that form."""
     R = np.asarray(R, dtype=float)
+    R = R / R.max(axis=-1, keepdims=True)
     form = (R[..., None, :] @ model.entries @ R[..., :, None])[..., 0]
-    if not math.isfinite(form.sum()):
-        over = np.isposinf(form)
-        with np.errstate(**_UNSCALABLE):
-            R = np.where(over, R / R.max(axis=-1, keepdims=True), R)
-            form = np.where(over, (R[..., None, :] @ model.entries @ R[..., :, None])[..., 0], form)
     return R / np.sqrt(form)
 
 
@@ -89,10 +81,7 @@ def tree_step(model: InteractionMatrix, delta: int, R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if (R <= 0).any():
         raise ValueError("ratio vector must be strictly positive")
-    out = (model.entries @ R[..., :, None])[..., 0] ** (delta - 1)
-    # guard against under/overflow from the power before normalizing
-    out = out / out.max(axis=-1, keepdims=True)
-    return canonical(model, out)
+    return canonical(model, (model.entries @ R[..., :, None])[..., 0] ** (delta - 1))
 
 
 def _residuals(model: InteractionMatrix, delta: int, R) -> np.ndarray:
@@ -124,20 +113,16 @@ def _spectra(model: InteractionMatrix, delta: int, R: np.ndarray) -> tuple[np.nd
     row's bits do not depend on the rows stacked with it.  One matrix product
     over all rows (R @ B.T) would round differently.
     """
-    # the stored residual is taken after one more rescaling, which moves its
-    # last bits; the pinned phase-query digest hashes them
-    res = _residuals(model, delta, canonical(model, R))
+    res = _residuals(model, delta, R)
     _check_fixpoints(res)
-    k, q = R.shape
     alpha = R * (model.entries @ R[:, :, None])[:, :, 0]
     alpha = alpha / alpha.sum(axis=1, keepdims=True)
     e = np.sqrt(alpha)
     M = model.entries * (R[:, :, None] * R[:, None, :]) / (e[:, :, None] * e[:, None, :])
-    # orthonormal basis of the complement of e: QR of [e | I] minus its first column
-    basis = np.repeat(np.eye(q, q + 1, 1)[None], k, axis=0)
-    basis[:, :, 0] = e
-    Q = np.linalg.qr(basis)[0][:, :, 1:]
-    return M, np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q), res
+    # M is nonnegative with the positive eigenvector e at eigenvalue 1, which
+    # is therefore its largest (Perron-Frobenius); the rest is the spectrum
+    # on the complement of e
+    return M, np.linalg.eigvalsh(M)[:, :-1], res
 
 
 def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
@@ -164,8 +149,8 @@ def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> Fi
 def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
     """Fixpoints at the k ratio rows of R, shape (k, q), built in one batched
     pass; structures gives each row's potts_structure."""
-    # a row whose quadratic form is zero or overflows a float gets a NaN or
-    # infinite residual, which _spectra rejects before it solves anything
+    # a zero row canonicalises to NaNs and gets a NaN residual, which _spectra
+    # rejects before it solves anything
     with np.errstate(**_UNSCALABLE):
         R = canonical(model, R)
         _, restricted, residual = _spectra(model, delta, R)
@@ -232,8 +217,10 @@ def _curve_minimum(q: int, delta: int, t: int) -> tuple:
     Descartes' rule), and its slope has the sign of
       P_t(y) = t - t d y^(1-d) + (d-1)(t-s) y^(-d) + s d y^(-d-1) - s y^(-2d).
     P_t(1) = P_t'(1) = 0 and P_t''(1) = d(d-1)(t-s), so a_t dips just above
-    1 only when 2t < q, and otherwise rises from Y_MIN on.  Cached: a pure
-    function of (q, delta, t)."""
+    1 only when 2t < q, and otherwise rises from Y_MIN on.  Raises when the
+    dip's minimiser lies closer to 1 than Y_MIN (P_t(Y_MIN) > 0), which
+    first happens near delta = 10^6.  Cached: a pure function of
+    (q, delta, t)."""
     d = delta - 1
     s = q - t
 
@@ -246,6 +233,11 @@ def _curve_minimum(q: int, delta: int, t: int) -> tuple:
 
     y = Y_MIN
     if 2 * t < q:
+        if p(Y_MIN) > 0:
+            raise ValueError(
+                f"the t = {t} activity curve of q = {q} at delta = {delta} has its minimum "
+                "closer to 1 than Y_MIN = 1 + 1e-6"
+            )
         hi = 2.0
         while p(hi) <= 0:  # P_t tends to t > 0
             hi *= 2.0
@@ -291,8 +283,7 @@ def two_value_roots(q: int, delta: int, B: float, t: int) -> list[float]:
 def _two_value_ratio(B: float, delta: int, y: float) -> float:
     """x = y^(delta-1) at a two-value root y.  Raises unless B x, the largest
     entry of B R at the row R = (x, .., x, 1, .., 1), is a finite float: past
-    that bound the phase diagram's gap overflows at t = 1 and, further out,
-    the row's canonical form underflows to zero."""
+    that bound the phase diagram's gap overflows at t = 1."""
     try:
         x = y ** (delta - 1)
     except OverflowError:
@@ -333,14 +324,6 @@ def majority_ratio(q: int, delta: int, B: float) -> float | None:
     """The largest ratio x = R_1/R_q of a majority (t = 1) fixpoint, or None below Bu."""
     roots = two_value_roots(q, delta, B, 1)
     return _two_value_ratio(B, delta, max(roots)) if roots else None
-
-
-def majority_fixpoint(q: int, delta: int, B: float) -> Fixpoint | None:
-    """The majority (t = 1) fixpoint with maximal ratio x, or None below Bu."""
-    x = majority_ratio(q, delta, B)
-    if x is None:
-        return None
-    return two_value_fixpoints(build_potts_matrix(q, B), delta, [(1, x)])[0]
 
 
 @functools.cache

@@ -874,6 +874,23 @@ def test_fixpoints_store_a_majority_row_whose_quadratic_form_overflows(tmp_path)
     assert fps[1]["x"] > 1e170 and fps[1]["stability"] == "attractive"
 
 
+def test_sw_run_starts_ordered_where_the_majority_ratio_squared_overflows(tmp_path):
+    # the majority ratio at delta = 60, B = 1000 is about 1e177
+    g = tmp_path / "g.graph"
+    assert run_command(["graph", "sample", "--n", "64", "--delta", "60", "--seed", "1", "--out", str(g)]) == 0
+    argv = ["sw", "run", "--graph", str(g), "--q", "3", "--B", "1000", "--steps", "2", "--start", "ordered:0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, path = run_to_file(tmp_path, "trace.csv", argv)
+    assert rc == 0 and path.read_text().splitlines()[-1].startswith("2,")
+
+
+def test_thresholds_past_the_resolvable_degree_are_one_error_line(capsys):
+    assert run_command(["thresholds", "--q", "3", "--delta", "2000000"]) == 1
+    message = "the t = 1 activity curve of q = 3 at delta = 2000000 has its minimum closer to 1 than Y_MIN = 1 + 1e-6"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

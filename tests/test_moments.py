@@ -27,9 +27,16 @@ from potts_lab.moments import (
 from potts_lab.spinsys import Phase, SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
 
 
-# recorded once the two-value roots came from the activity curve's minima; a
-# phase query that rebuilds nothing must not move a single output bit
-PINNED_PHASE_QUERY_DIGEST = "bf0bd24fdc64b58720e95ac5ae4a20439da47c3b61a79716f18a5a3293166313"
+# re-recorded once canonical divided each row by its max and the restricted
+# spectrum came from deflating M's Perron eigenvalue; a phase query that
+# rebuilds nothing must not move a single output bit
+PINNED_PHASE_QUERY_DIGEST = "b21311660995876785630d14a43580182a7a289da214fc9cc257961e6945904c"
+
+
+def _majority_fixpoint(q, delta, B):
+    """The majority (t = 1) fixpoint with maximal ratio x, or None below Bu."""
+    x = treefix.majority_ratio(q, delta, B)
+    return None if x is None else treefix.two_value_fixpoints(build_potts_matrix(q, B), delta, [(1, x)])[0]
 
 
 def colorings_matrix(q=3):
@@ -134,7 +141,7 @@ def test_psi2_equals_twice_psi1_ferro(monkeypatch):
 def test_psi2_tensor_point_lower_bound(monkeypatch):
     monkeypatch.setattr("potts_lab.moments.PSI2_STARTS", 5)
     m = build_potts_matrix(3, 4.2)
-    fp = treefix.majority_fixpoint(3, 3, 4.2)
+    fp = _majority_fixpoint(3, 3, 4.2)
     a = fp.alpha
     assert psi2(m, 3, a) >= 2 * psi1(m, 3, a) - 1e-9
 
@@ -346,7 +353,7 @@ def test_dif_matches_direct_phi_difference():
     # independent route: evaluate the ratio functional at both fixpoints
     q, delta, B = 3, 3, 3.9
     m = build_potts_matrix(q, B)
-    maj = treefix.majority_fixpoint(q, delta, B)
+    maj = _majority_fixpoint(q, delta, B)
     direct = phi1(m, delta, maj.R) - phi1(m, delta, np.ones(q))
     assert abs(dif_value(q, delta, B) - direct) < 1e-10
 
@@ -391,7 +398,7 @@ def test_moment_report_potts():
 def test_moment_report_ordered_regime():
     m = build_potts_matrix(3, 4.2)
     rep = moment_report(m, 3, compute_psi2=False)
-    maj = treefix.majority_fixpoint(3, 3, 4.2)
+    maj = _majority_fixpoint(3, 3, 4.2)
     assert abs(rep.psi1_max - phi1(m, 3, maj.R)) < 1e-9
     assert any(ph.dominant and np.max(ph.alpha) > 0.5 for ph in rep.phases)
 
@@ -409,7 +416,8 @@ def test_sinkhorn_raises_when_the_support_cannot_carry_the_marginals():
 def test_criterion_4_cells_match_pinned_values(criterion_4_run):
     # checked on criterion 4's own moment reports (see conftest.py);
     # recorded with one norm ascent per start and re-recorded once the
-    # two-value roots came from the activity curve's minima; stepping the starts as one
+    # two-value roots came from the activity curve's minima and once more
+    # (one cell) when canonical divided by the max first; stepping the starts as one
     # array may move the norm in its last bits, psi1 and psi2 not at all
     reports = criterion_4_run[1]
     cells = json.loads((Path(__file__).parent / "pinned_moment_cells.json").read_text())
@@ -502,7 +510,7 @@ def test_phase_diagram_hessians_are_classify_stability_bits(q, delta):
         model = build_potts_matrix(q, B)
         uniform = treefix.make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))
         want = {True: treefix.classify_stability(model, delta, uniform).hessian_eigen}
-        maj = treefix.majority_fixpoint(q, delta, B)
+        maj = _majority_fixpoint(q, delta, B)
         if maj is not None:
             want[False] = treefix.classify_stability(model, delta, maj).hessian_eigen
         assert len(pd.local_maxima) > 0

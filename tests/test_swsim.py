@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 
@@ -252,6 +253,40 @@ def test_reference_statistics_reject_bad_activities():
                 f(B)
 
 
+def _decimal_reference(q, delta, B, x):
+    """E_m and the ordered phase vector at the majority ratio x in 50-digit
+    decimal arithmetic, from the forms in x itself:
+    E_m = Delta B (x^2 + q - 1) / 2((x + q - 1)^2 + (B - 1)(x^2 + q - 1)) and
+    vec = (x^p, 1, .., 1) / (x^p + q - 1) with p = Delta/(Delta - 1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x, B = decimal.Decimal(x), decimal.Decimal(B)
+        square = x * x + (q - 1)
+        E_m = delta * B * square / (2 * ((x + q - 1) ** 2 + (B - 1) * square))
+        xp = x ** (decimal.Decimal(delta) / (delta - 1))
+        return float(E_m), np.array([float(xp / (xp + q - 1))] + [float(1 / (xp + q - 1))] * (q - 1))
+
+
+def test_reference_statistics_match_a_decimal_evaluation():
+    from potts_lab import swsim, treefix
+
+    for q in range(3, 11):
+        for delta in range(3, 11):
+            Bu = potts_thresholds(q, delta).Bu
+            for B in np.geomspace(Bu * (1 + 1e-9), 1e6, 16).tolist():
+                _, E_m, vec = swsim._reference(q, delta, B)
+                want_E_m, want_vec = _decimal_reference(q, delta, B, treefix.majority_ratio(q, delta, B))
+                assert abs(E_m - want_E_m) <= 1e-15 * want_E_m
+                assert (np.abs(vec - want_vec) <= 2e-15 * want_vec).all()
+
+
+def test_expected_mono_is_finite_where_the_majority_ratio_squared_overflows():
+    # x is about 1e177 at (3, 60, 1000) and 1e180 at (3, 30, 1e6)
+    for q, delta, B in [(3, 60, 1000.0), (3, 30, 1e6)]:
+        E_u, E_m = expected_mono(q, delta, B)
+        assert math.isfinite(E_u) and math.isfinite(E_m) and 0 < E_u < E_m <= delta / 2
+
+
 def test_classify_umt_finds_the_majority_fixpoint_once(monkeypatch):
     from potts_lab import treefix
 
@@ -261,13 +296,13 @@ def test_classify_umt_finds_the_majority_fixpoint_once(monkeypatch):
     eps = default_epsilon(3, 3, Bo)
     expect = [classify_UMT(c, g, 3, 3, Bo, eps=eps) for c in colorings]
     calls = []
-    real = treefix.majority_fixpoint
+    real = treefix.majority_ratio
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(treefix, "majority_fixpoint", counted)
+    monkeypatch.setattr(treefix, "majority_ratio", counted)
     for c, want in zip(colorings, expect):
         calls.clear()
         assert classify_UMT(c, g, 3, 3, Bo) == want
@@ -608,8 +643,9 @@ def test_pinned_digests():
 
 
 # SHA-256 of outputs that must stay bit-identical: the reference statistics,
-# the U/M/T classes and the phase cuts on the grid of _reference_outputs_digest
-PINNED_REFERENCE = "50d35575478593c882a4b88584ecc8426761ade839c1d14bcd4eab6705d7718f"
+# the U/M/T classes and the phase cuts on the grid of _reference_outputs_digest;
+# re-recorded once the statistics came from the majority ratio alone
+PINNED_REFERENCE = "f14f7fd6f6fac433acb3da4aeabea276b28d56b7719c84205528ce9848d80c08"
 
 
 def _outcome(fn, *args, **kwargs):

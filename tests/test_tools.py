@@ -68,6 +68,17 @@ def test_bench_pairs_probes_both_sides_at_the_fewest_attempted_ops(tmp_path, mon
     }
 
 
+def test_dispatch_matrix_reads_each_pinned_test_outcome():
+    spec = importlib.util.spec_from_file_location("dispatch_matrix", TOOL.parent / "dispatch_matrix.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert list(tool.SETTINGS) == ["none", "haswell-blas", "no-avx512", "both"]
+    assert tool.SETTINGS["both"] == tool.HASWELL | tool.NO_AVX512
+    tests = ["tests/a.py::test_x", "tests/a.py::test_y", "tests/b.py::test_z"]
+    report = "PASSED tests/a.py::test_x\nFAILED tests/a.py::test_y - assert 'a' == 'b'\nPASSED tests/a.py::test_xy\n"
+    assert tool._outcomes(report, tests) == {tests[0]: "PASS", tests[1]: "FAIL", tests[2]: "ERROR"}
+
+
 # public names with no caller yet, kept for the callers that open ROADMAP items will give them
 WAITING_FOR_A_CALLER = {
     "classify_UMT",  # item 7: SW bottleneck on the U/M/T classes

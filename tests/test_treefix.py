@@ -16,14 +16,20 @@ from potts_lab.treefix import (
     canonical,
     classify_stability,
     find_fixpoints,
-    majority_fixpoint,
     make_fixpoint,
     ordered_root_marginal,
     potts_fixpoints,
     potts_thresholds,
     tree_step,
+    two_value_fixpoints,
     two_value_roots,
 )
+
+
+def _majority_fixpoint(q, delta, B):
+    """The majority (t = 1) fixpoint with maximal ratio x, or None below Bu."""
+    x = treefix.majority_ratio(q, delta, B)
+    return None if x is None else two_value_fixpoints(build_potts_matrix(q, B), delta, [(1, x)])[0]
 
 
 def test_tree_step_examples():
@@ -120,7 +126,7 @@ def test_jacobian_rejects_non_fixpoint():
     m = build_potts_matrix(3, 2.0)
     # a fixpoint of another activity is not a fixpoint of (model, delta),
     # even one of the same direction
-    for other in (majority_fixpoint(3, 3, 4.5), make_fixpoint(build_potts_matrix(3, 4.5), 3, np.ones(3))):
+    for other in (_majority_fixpoint(3, 3, 4.5), make_fixpoint(build_potts_matrix(3, 4.5), 3, np.ones(3))):
         with pytest.raises(ValueError, match="not a fixpoint"):
             classify_stability(m, 3, other)
     # the uniform fixpoint is a fixpoint at every degree, but its stored
@@ -222,6 +228,14 @@ def test_thresholds_hold_past_the_old_degree_cap():
             assert 1 < th.Bu < th.Bo < th.Brc
 
 
+def test_thresholds_name_a_curve_minimum_closer_to_1_than_y_min():
+    assert 1 < potts_thresholds(3, 1035659).Bu
+    # from here the t = 1 curve's minimiser lies below Y_MIN
+    message = "the t = 1 activity curve of q = 3 at delta = 1035660 has its minimum closer to 1 than Y_MIN"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        potts_thresholds(3, 1035660)
+
+
 def test_nan_residual_is_not_a_fixpoint():
     # x = y^59 is finite but x B x overflows a float: canonical rescales that
     # row by its max first, so the majority fixpoint is stored
@@ -236,17 +250,72 @@ def test_nan_residual_is_not_a_fixpoint():
         treefix._check_fixpoints(np.array([0.0, np.nan]))
 
 
-def test_canonical_rescales_only_overflowing_rows():
+def test_canonical_divides_each_row_by_its_max_first():
     m = build_potts_matrix(3, 1000.0)
-    rows = np.array([[2.0, 1.0, 1.0], [1e160, 1.0, 1.0], [0.5, 0.25, 3.0]])
-    with np.errstate(over="ignore"):
+    rows = np.array([[2.0, 1.0, 1.0], [1e160, 1.0, 1.0], [0.5, 0.25, 3.0], [1e200, 1.0, 1.0]])
+    # no row's quadratic form overflows once it is divided by its max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = canonical(m, rows)
-    for k in (0, 2):
-        assert got[k].tobytes() == canonical(m, rows[k]).tobytes()
-        assert got[k].tobytes() == (rows[k] / math.sqrt(rows[k] @ m.entries @ rows[k])).tobytes()
-    scaled = rows[1] / 1e160
-    assert got[1].tobytes() == (scaled / math.sqrt(scaled @ m.entries @ scaled)).tobytes()
-    assert abs(got[1] @ m.entries @ got[1] - 1.0) < 1e-15
+        assert canonical(m, [1e200, 1.0, 1.0]).tobytes() == got[3].tobytes()
+    for row, want in zip(rows, got):
+        assert want.tobytes() == canonical(m, row).tobytes()
+        scaled = row / row.max()
+        assert want.tobytes() == (scaled / math.sqrt(scaled @ m.entries @ scaled)).tobytes()
+        assert abs(want @ m.entries @ want - 1.0) < 1e-15
+
+
+def _qr_spectra(model, delta, R):
+    """The restricted spectra of the canonical rows of R taken on an
+    orthonormal basis of the complement of sqrt(alpha), the QR of [e | I]
+    minus its first column: the referee for _spectra's Perron deflation."""
+    k, q = R.shape
+    M = treefix._spectra(model, delta, R)[0]
+    alpha = R * (model.entries @ R[:, :, None])[:, :, 0]
+    basis = np.repeat(np.eye(q, q + 1, 1)[None], k, axis=0)
+    basis[:, :, 0] = np.sqrt(alpha / alpha.sum(axis=1, keepdims=True))
+    Q = np.linalg.qr(basis)[0][:, :, 1:]
+    return np.linalg.eigvalsh(Q.transpose(0, 2, 1) @ M @ Q)
+
+
+def _assert_spectra_match_the_qr_referee(model, delta, fps):
+    R = np.array([fp.R for fp in fps])
+    assert np.abs(np.array([fp.restricted_spectrum for fp in fps]) - _qr_spectra(model, delta, R)).max() <= 2e-15
+    for fp in fps:
+        assert fp.residual == treefix._residuals(model, delta, fp.R[None])[0]
+
+
+def test_perron_deflation_matches_the_qr_complement_on_the_phase_grid():
+    count = 0
+    for q in range(3, 11):
+        for delta in range(3, 11):
+            for B in np.linspace(1.05, 2 * potts_thresholds(q, delta).Brc, 20):
+                fps = potts_fixpoints(q, delta, float(B))
+                _assert_spectra_match_the_qr_referee(build_potts_matrix(q, float(B)), delta, fps)
+                count += len(fps)
+    assert count == 6051
+
+
+def test_perron_deflation_matches_the_qr_complement_on_general_models():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    A = rng.uniform(0.2, 3.0, size=(4, 4))
+    indefinite = A + A.T
+    assert np.linalg.eigvalsh(indefinite)[0] < 0 < np.linalg.eigvalsh(indefinite)[-1]
+    models = {
+        "colourings": np.ones((3, 3)) - np.eye(3),
+        "identity": np.eye(3),
+        "bipartite": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "indefinite": indefinite,
+    }
+    for name, entries in models.items():
+        model = interaction_matrix(entries)
+        # not delta = 4: there the bipartite model's damped ends oscillate for
+        # every one of DAMPED_MAX_STEPS steps
+        for delta in (3, 5):
+            fps = [make_fixpoint(model, delta, np.ones(model.q))] if name != "indefinite" else []
+            fps += find_fixpoints(model, delta)
+            assert fps, (name, delta)
+            _assert_spectra_match_the_qr_referee(model, delta, fps)
 
 
 def test_potts_fixpoints_keeps_its_last_enumeration():
@@ -317,8 +386,7 @@ def test_root_scan_rejects_a_non_finite_activity():
     # same line as inf
     finiteness_first = [
         treefix.majority_ratio,
-        majority_fixpoint,
-        ordered_root_marginal,
+            ordered_root_marginal,
         moments.dif_value,
         lambda q, delta, B: two_value_roots(q, delta, B, 1),
         potts_fixpoints,
@@ -396,7 +464,7 @@ def test_majority_ratio_at_Bo_is_closed_form():
     for q, delta in [(3, 3), (4, 3), (6, 3), (3, 4)]:
         d = delta - 1
         th = potts_thresholds(q, delta)
-        fp = majority_fixpoint(q, delta, th.Bo)
+        fp = _majority_fixpoint(q, delta, th.Bo)
         assert abs(fp.potts_structure[1] - (q - 1) ** (2 * d / (d + 1))) < 1e-8
 
 
@@ -404,7 +472,7 @@ def test_alpha_at_Bo_majority():
     # alpha_1 = (q-1)/q at the coexistence activity
     for q in (3, 6):
         th = potts_thresholds(q, 3)
-        fp = majority_fixpoint(q, 3, th.Bo)
+        fp = _majority_fixpoint(q, 3, th.Bo)
         assert abs(np.max(fp.alpha) - (q - 1) / q) < 1e-9
 
 
@@ -412,7 +480,7 @@ def test_degree_below_three_is_rejected_before_the_root_scan():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="need degree delta >= 3"):
-            majority_fixpoint(3, 2, 3.0)
+            _majority_fixpoint(3, 2, 3.0)
         with pytest.raises(ValueError, match="need degree delta >= 3"):
             two_value_roots(3, 2, 3.0, 1)
 
@@ -459,7 +527,7 @@ def test_generic_search_orders_fixpoints_on_the_dedup_scale():
     fps = find_fixpoints(m, 3)
     assert [int(np.argmax(fp.R)) for fp in fps] == [3, 2, 1, 0]
     assert all(fp.stability == ATTRACTIVE for fp in fps)
-    x = majority_fixpoint(4, 3, 6.0).potts_structure[1]
+    x = _majority_fixpoint(4, 3, 6.0).potts_structure[1]
     for fp in fps:
         assert abs(fp.R.max() / fp.R.min() - x) < 1e-9
 
@@ -468,7 +536,7 @@ def test_damped_iterate_rows_stop_on_their_own():
     from potts_lab.treefix import _damped_iterate
 
     m = build_potts_matrix(3, 3.9)
-    maj = majority_fixpoint(3, 3, 3.9).R
+    maj = _majority_fixpoint(3, 3, 3.9).R
     starts = np.array([maj / maj.sum(), [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
     out = _damped_iterate(m.entries, 2, starts)
     # the row started at a fixpoint stops after one step; the others converge
