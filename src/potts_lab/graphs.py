@@ -206,17 +206,13 @@ def count_cycles(g: RegularGraph, kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GibbsOracle:
-    """Exact partition function with the phase-restricted table z_by_phase."""
+    """Exact partition function and the weight of every configuration."""
 
     Z: float
     weights: np.ndarray  # per configuration, indexed by sum_v color_v q^v
-    z_by_phase: dict
 
     def probabilities(self) -> np.ndarray:
         return self.weights / self.Z
-
-    def z_alpha(self, counts) -> float:
-        return self.z_by_phase.get(tuple(int(c) for c in counts), 0.0)
 
 
 def all_colorings(n: int, q: int) -> np.ndarray:
@@ -241,17 +237,7 @@ def brute_gibbs(g: RegularGraph, model: InteractionMatrix) -> GibbsOracle:
     for u, v in g.edges:
         logw += logB[states[:, u], states[:, v]]
     weights = np.exp(logw)
-    weights[np.isnan(weights)] = 0.0  # 0-weight edges force impossible states
-
-    counts = np.count_nonzero(states[:, :, None] == np.arange(q), axis=1)
-    # one mixed-radix key per state (the count rows themselves past int64)
-    key = counts @ (g.n + 1) ** np.arange(q) if (g.n + 1.0) ** q < 2**63 else counts
-    _, first, phase = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    # bincount adds each phase's weights in state order, from 0.0
-    sums = np.bincount(phase.reshape(-1), weights=weights)
-    z_by_phase = {tuple(counts[first[p]]): sums[p] for p in np.argsort(first)}
-
-    return GibbsOracle(Z=float(weights.sum()), weights=weights, z_by_phase=z_by_phase)
+    return GibbsOracle(Z=float(weights.sum()), weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ and a moment that overflows a float raises ValueError naming its log.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -57,7 +58,6 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SmallGraphConstants:
-    mu: np.ndarray
     lam: np.ndarray
     delta_series: np.ndarray
     ratio_limit: float
@@ -80,7 +80,6 @@ class MomentReport:
     psi2_max: float | None
     norm_value: float | None
     dominant: list
-    small_graph: SmallGraphConstants | None
 
 
 def _logsumexp(values) -> float:
@@ -509,15 +508,11 @@ def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
         psi1=val,
         hessian_eigen=tuple(fp.hessian_eigen),
         local_max=fp.attractive,
-        hessian_local_max=bool(np.all(fp.hessian_eigen < 0)),
     )
 
 
 def _with_dominance(ph: Phase, psi1_max: float) -> Phase:
-    dom = ph.psi1 >= psi1_max - 1e-9
-    return Phase(
-        ph.alpha, ph.psi1, ph.hessian_eigen, ph.local_max, ph.hessian_local_max, dom, dom and ph.hessian_local_max
-    )
+    return dataclasses.replace(ph, dominant=ph.psi1 >= psi1_max - 1e-9)
 
 
 def _orbit(ph: Phase) -> list[Phase]:
@@ -532,8 +527,7 @@ def _orbit(ph: Phase) -> list[Phase]:
     for i in range(q):
         if not any(close[(k - i) % q] for k in kept):
             kept.append(i)
-    rest = (ph.psi1, ph.hessian_eigen, ph.local_max, ph.hessian_local_max, ph.dominant, ph.hessian_dominant)
-    return [Phase(rolls[i], *rest) for i in kept]
+    return [dataclasses.replace(ph, alpha=rolls[i]) for i in kept]
 
 
 def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
@@ -601,9 +595,7 @@ def small_graph_constants(delta: int, fp: Fixpoint) -> SmallGraphConstants:
     delta_series = np.array([np.sum(mu**k) for k in i])
     ratio = float(np.prod((1.0 - (delta - 1.0) * np.outer(mu, mu)) ** -0.5))
     truncated = float(np.exp(np.sum(lam * delta_series**2)))
-    return SmallGraphConstants(
-        mu=mu, lam=lam, delta_series=delta_series, ratio_limit=ratio, truncated_exp=truncated
-    )
+    return SmallGraphConstants(lam=lam, delta_series=delta_series, ratio_limit=ratio, truncated_exp=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +651,7 @@ def moment_report(
     seed: int = 0,
 ) -> MomentReport:
     """Phases from the tree fixpoints with their psi1 values, the first/second
-    moment maxima, the induced-norm cross-check and (at the dominant attractive
-    fixpoint) the small-subgraph constants."""
+    moment maxima and the induced-norm cross-check."""
     fps = all_fixpoints(model, delta, seed=seed)
     if not fps:
         raise ValueError(
@@ -700,17 +691,10 @@ def moment_report(
     if compute_psi2:
         psi2_max = max(psi2(model, delta, ph.alpha) for ph in dominant)
 
-    small = None
-    for ph, fp in phases:
-        if ph.dominant and fp.stability == treefix.ATTRACTIVE:
-            small = small_graph_constants(delta, fp)
-            break
-
     return MomentReport(
         phases=[ph for ph, _ in phases],
         psi1_max=psi1_max,
         psi2_max=psi2_max,
         norm_value=norm_value,
         dominant=dominant,
-        small_graph=small,
     )

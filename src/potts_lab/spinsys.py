@@ -1,11 +1,11 @@
 """
 Model specification for q-spin systems.
 
-A model is a symmetric nonnegative q x q interaction matrix.  The signature
-(ferromagnetic / antiferromagnetic / indefinite) is read off the eigenvalues,
-and ferromagnetic matrices carry a Cholesky factor used by the matrix-norm
-machinery.  This module also owns the simplex/phase vocabulary shared by the
-rest of the package.
+A model is a symmetric nonnegative q x q interaction matrix with its
+signature (ferromagnetic / antiferromagnetic / indefinite), read off the
+eigenvalues.  Ferromagnetic matrices have a Cholesky factor, which the
+matrix-norm machinery uses.  This module also owns the simplex/phase
+vocabulary shared by the rest of the package.
 """
 
 from __future__ import annotations
@@ -36,39 +36,23 @@ class Signature(str, Enum):
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Symmetric nonnegative q x q interaction matrix with derived attributes."""
+    """Symmetric nonnegative q x q interaction matrix with its signature."""
 
     q: int
     entries: np.ndarray
     signature: Signature
-    ergodic: bool
 
 
 @dataclass(frozen=True)
 class Phase:
-    """A point of the (q-1)-simplex together with its exponent and flags."""
+    """A point of the (q-1)-simplex together with its exponent, its Hessian
+    eigenvalues and its local-maximum and dominance flags."""
 
     alpha: np.ndarray
     psi1: float = float("nan")
     hessian_eigen: tuple = ()
     local_max: bool = False
-    hessian_local_max: bool = False
     dominant: bool = False
-    hessian_dominant: bool = False
-
-    @property
-    def q(self) -> int:
-        return len(self.alpha)
-
-
-def _is_ergodic(entries: np.ndarray) -> bool:
-    # ergodic = primitive support: connected, with an odd cycle (a loop counts).
-    # A primitive q x q support has a positive k-th power for every
-    # k >= (q-1)^2 + 1 (Wielandt); no power of any other support is positive
-    support = entries > 0
-    for _ in range(((entries.shape[0] - 1) ** 2).bit_length()):
-        support = support @ support
-    return bool(support.all())
 
 
 def _signature_of(w: np.ndarray) -> Signature:
@@ -84,7 +68,7 @@ def _signature_of(w: np.ndarray) -> Signature:
 
 
 def interaction_matrix(entries) -> InteractionMatrix:
-    """Validate a raw matrix and wrap it with signature and ergodicity flags."""
+    """Validate a raw matrix and wrap it with its signature."""
     entries = np.array(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("interaction matrix must be square")
@@ -105,7 +89,6 @@ def interaction_matrix(entries) -> InteractionMatrix:
         q=q,
         entries=entries,
         signature=_signature_of(np.linalg.eigvalsh(entries)),
-        ergodic=_is_ergodic(entries),
     )
 
 
@@ -132,8 +115,7 @@ def build_potts_matrix(q: int, B: float) -> InteractionMatrix:
     entries = np.ones((q, q)) + (B - 1.0) * np.eye(q)
     entries.flags.writeable = False
     w = np.array([B - 1.0] * (q - 1) + [B + q - 1.0])  # the spectrum, ascending
-    # every entry is positive, so the support is complete with loops: ergodic
-    return InteractionMatrix(q, entries, _signature_of(w), ergodic=True)
+    return InteractionMatrix(q, entries, _signature_of(w))
 
 
 def cholesky_factor(model: InteractionMatrix) -> np.ndarray:

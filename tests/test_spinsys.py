@@ -56,7 +56,7 @@ def test_potts_matrix_keeps_its_last_model():
     again = build_potts_matrix(4, 2.5)
     fresh = interaction_matrix(np.ones((4, 4)) + 1.5 * np.eye(4))
     assert again.q == 4 and np.array_equal(again.entries, fresh.entries)
-    assert again.signature is fresh.signature and again.ergodic is fresh.ergodic
+    assert again.signature is fresh.signature
     assert not again.entries.flags.writeable
     # a rejected activity is never kept: it raises on every call
     for _ in range(2):
@@ -69,7 +69,7 @@ def test_potts_matrix_keeps_its_last_model():
 
 def test_potts_matrix_matches_the_generic_constructor():
     # build_potts_matrix takes its signature from the known spectrum; the
-    # generic path computes it and checks symmetry and ergodicity
+    # generic path computes it and checks symmetry
     for q in range(2, 13):
         for B in (0.01, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.5, 3.9, 40.0):
             m = build_potts_matrix(q, B)
@@ -77,15 +77,14 @@ def test_potts_matrix_matches_the_generic_constructor():
             assert m.q == ref.q
             assert np.array_equal(m.entries, ref.entries)
             assert m.signature is ref.signature
-            assert m.ergodic is ref.ergodic is True
             assert not m.entries.flags.writeable
 
 
 def test_classify_examples():
     ferro = build_potts_matrix(4, 3.0)
-    assert ferro.ergodic and ferro.signature is Signature.FERROMAGNETIC
+    assert ferro.signature is Signature.FERROMAGNETIC
     colorings = interaction_matrix(np.ones((3, 3)) - np.eye(3))
-    assert colorings.ergodic and colorings.signature is Signature.ANTIFERROMAGNETIC
+    assert colorings.signature is Signature.ANTIFERROMAGNETIC
 
 
 def test_classify_random_indefinite():
@@ -112,53 +111,6 @@ def test_classify_rejects_bad_input():
     for bad in (float("inf"), float("nan"), -float("inf")):
         with pytest.raises(ValueError, match=r"^interaction matrix entries must be finite$"):
             interaction_matrix([[1.0, bad], [2.0, 1.0]])
-    # identity is reducible, hence not ergodic
-    ident = interaction_matrix(np.eye(2))
-    assert not ident.ergodic
-    # zero diagonal with bipartite support is 2-periodic
-    twocycle = interaction_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not twocycle.ergodic
-
-
-def _graph_ergodic(support):
-    """Reference: the support graph is connected and, unless it has a loop,
-    not 2-colorable."""
-    q = len(support)
-    color = {0: 0}
-    stack = [0]
-    odd = bool(np.any(np.diag(support)))
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(support[v])[0].tolist():
-            if w not in color:
-                color[w] = 1 - color[v]
-                stack.append(w)
-            elif w != v and color[w] == color[v]:
-                odd = True
-    return len(color) == q and odd
-
-
-def test_ergodicity_matches_the_graph_definition():
-    rng = np.random.default_rng(5)
-    cases = [np.eye(3), np.ones((4, 4)) - np.eye(4)]
-    # paths and even cycles are bipartite; an odd cycle or one loop is not
-    for q in (2, 5, 6):
-        path = np.eye(q, k=1) + np.eye(q, k=-1)
-        cycle = path.copy()
-        cycle[0, -1] = cycle[-1, 0] = 1.0
-        loop = path.copy()
-        loop[q // 2, q // 2] = 1.0
-        cases += [path, cycle, loop]
-    for q in (2, 3, 5, 8, 12):
-        for density in (0.15, 0.3, 0.6):
-            a = rng.random((q, q)) < density
-            cases.append((a | a.T).astype(float))
-    seen = set()
-    for entries in cases:
-        want = _graph_ergodic(entries > 0)
-        assert interaction_matrix(entries).ergodic is want
-        seen.add(want)
-    assert seen == {True, False}
 
 
 def test_cholesky_examples():
