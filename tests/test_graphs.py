@@ -229,7 +229,7 @@ def test_cycle_poisson_means_small_sample():
 
 def _phase_table(g, model):
     """Z restricted to each phase: the weights of brute_gibbs summed state by
-    state over the colour counts, keyed in order of first appearance."""
+    state, keyed by the colour counts."""
     o = brute_gibbs(g, model)
     table: dict = {}
     for state, w in zip(graphs.all_colorings(g.n, model.q), o.weights):
