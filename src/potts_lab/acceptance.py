@@ -183,7 +183,7 @@ def criterion_7() -> CriterionResult:
     for q, B, value in ((2, 2.0, 3 / math.sqrt(7)), (3, 2.0, None)):
         model = build_potts_matrix(q, B)
         fp = treefix.make_fixpoint(model, 3, np.ones(q), potts_structure=(q, 1.0))
-        sg = moments.small_graph_constants(3, fp)
+        sg = moments.small_graph_constants(fp)
         gap = abs(sg.truncated_exp - sg.ratio_limit)
         ok &= gap < 1e-10
         if value is not None:

@@ -212,6 +212,8 @@ class GibbsOracle:
     weights: np.ndarray  # per configuration, indexed by sum_v color_v q^v
 
     def probabilities(self) -> np.ndarray:
+        if self.Z == 0.0:
+            raise ValueError("Z = 0: no configuration has positive weight, so there is no Gibbs distribution")
         return self.weights / self.Z
 
 

@@ -33,7 +33,6 @@ from .spinsys import (
     Signature,
     SizeGuardError,
     _check_simplex,
-    build_potts_matrix,
     cholesky_factor,
 )
 from . import treefix
@@ -500,9 +499,9 @@ def _dif_of_ratio(q: int, delta: int, x: float) -> float:
     )
 
 
-def _phase_from_fixpoint(model, delta, fp, psi1_value=None) -> Phase:
+def _phase_from_fixpoint(fp: Fixpoint, psi1_value=None) -> Phase:
     """The phase at fp, with the stability and Hessian stored on it."""
-    val = phi1(model, delta, fp.R) if psi1_value is None else psi1_value
+    val = phi1(fp.model, fp.delta, fp.R) if psi1_value is None else psi1_value
     return Phase(
         alpha=fp.alpha,
         psi1=val,
@@ -538,12 +537,11 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
     if not B > 1:
         raise ValueError("phase diagram covers the ferromagnetic regime B > 1")
     th = potts_thresholds(q, delta)
-    model = build_potts_matrix(q, B)
     # the uniform fixpoint comes first and the majority one (above Bu) is the
     # t = 1 fixpoint of largest x, which potts_fixpoints lists last of its t
     fps = treefix.potts_fixpoints(q, delta, B)
     majority = [fp for fp in fps if fp.potts_structure[0] == 1][-1:]
-    uniform, *ordered = [_phase_from_fixpoint(model, delta, fp) for fp in fps[:1] + majority]
+    uniform, *ordered = [_phase_from_fixpoint(fp) for fp in fps[:1] + majority]
     x = majority[0].potts_structure[1] if majority else None
     dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
     if x is not None:
@@ -579,15 +577,16 @@ def potts_phase_diagram(q: int, delta: int, B: float) -> PhaseDiagram:
 # ---------------------------------------------------------------------------
 
 
-def small_graph_constants(delta: int, fp: Fixpoint) -> SmallGraphConstants:
-    """Cycle-count constants for the variance analysis at an attractive fixpoint of degree delta.
+def small_graph_constants(fp: Fixpoint) -> SmallGraphConstants:
+    """Cycle-count constants for the variance analysis at an attractive fixpoint,
+    at the degree delta it was built at.
 
     mu are the non-unit eigenvalues of the fixpoint matrix M, lam_i is the
     limiting Poisson mean (Delta-1)^i / (2i) of i-cycles, delta_i = sum_j mu_j^i,
     and the second-to-first-squared moment ratio converges to
     prod_ij (1 - (Delta-1) mu_i mu_j)^(-1/2) = exp(sum_i lam_i delta_i^2).
     """
-    mu = fp.restricted_spectrum
+    mu, delta = fp.restricted_spectrum, fp.delta
     if np.max(np.abs(mu)) >= 1.0 / (delta - 1) - 1e-12:
         raise ValueError("small-graph constants need a Hessian-dominant fixpoint")
     i = np.arange(1, SMALL_GRAPH_KMAX + 1)
@@ -675,24 +674,20 @@ def moment_report(
             psi1s.append(psi1(model, delta, fps[-1].alpha))
 
     psi1_max = max(psi1s)
-    phases = [
-        (_with_dominance(_phase_from_fixpoint(model, delta, fp, psi1_value=v), psi1_max), fp)
-        for fp, v in zip(fps, psi1s)
-    ]
-    dominant = [ph for ph, _ in phases if ph.dominant]
+    phases = [_with_dominance(_phase_from_fixpoint(fp, psi1_value=v), psi1_max) for fp, v in zip(fps, psi1s)]
+    dominant = [ph for ph in phases if ph.dominant]
 
     norm_value = None
     if model.signature is Signature.FERROMAGNETIC:
         Bhat = cholesky_factor(model)
-        seeds = [fp.R for _, fp in phases]
-        norm_value, _ = matrix_norm_p2(Bhat, delta / (delta - 1.0), seeds=seeds)
+        norm_value, _ = matrix_norm_p2(Bhat, delta / (delta - 1.0), seeds=[fp.R for fp in fps])
 
     psi2_max = None
     if compute_psi2:
         psi2_max = max(psi2(model, delta, ph.alpha) for ph in dominant)
 
     return MomentReport(
-        phases=[ph for ph, _ in phases],
+        phases=phases,
         psi1_max=psi1_max,
         psi2_max=psi2_max,
         norm_value=norm_value,

@@ -10,7 +10,6 @@ vocabulary shared by the rest of the package.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -92,17 +91,12 @@ def interaction_matrix(entries) -> InteractionMatrix:
     )
 
 
-@functools.lru_cache(maxsize=1)
 def build_potts_matrix(q: int, B: float) -> InteractionMatrix:
     """Potts interaction: B on the diagonal, 1 off the diagonal.
 
     Eigenvalues are B-1 (multiplicity q-1) and B+q-1, so the model is
-    ferromagnetic exactly when B > 1.
-
-    The last model is kept: the model is frozen and its entries read-only,
-    so a phase query's own build, its fixpoint enumeration and its caller's
-    build at the same (q, B) share one object.  A call that raises is not
-    kept.
+    ferromagnetic exactly when B > 1.  Its entries are read-only, since the
+    fixpoints built at a model share it.
     """
     if q < 2:
         raise ValueError("need q >= 2 spins")

@@ -42,6 +42,8 @@ MARGINAL = "marginal"
 
 @dataclass(frozen=True)
 class Fixpoint:
+    model: InteractionMatrix  # the model and degree the fixpoint was built at
+    delta: int
     R: np.ndarray
     alpha: np.ndarray
     jacobian_eigen: np.ndarray
@@ -134,15 +136,15 @@ def _stabilities(jacobian_eigen: np.ndarray) -> list[str]:
 
 
 def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> Fixpoint:
-    """fp itself, once it is checked against (model, delta); its stability
-    and hessian_eigen are the record.  The residual check at the stored R,
-    without rescaling, rejects a fixpoint built at another activity; the
-    spectrum check rejects one whose stored spectrum belongs to another
-    degree (the uniform fixpoint is a fixpoint at every degree)."""
-    _check_fixpoints(_residuals(model, delta, fp.R))
-    jac, want = fp.jacobian_eigen, (delta - 1) * fp.restricted_spectrum
-    if jac.shape != want.shape or not (jac == want).all():
-        raise ValueError(f"fixpoint spectrum was not computed at degree delta = {delta}")
+    """fp itself, once its record says it was built at (model, delta); its
+    stability and hessian_eigen are the record.  Models are compared by
+    their entries, so an equal model built anew passes; a fixpoint built at
+    another activity, or at another degree (the uniform fixpoint is a
+    fixpoint at every degree), raises."""
+    if not np.array_equal(fp.model.entries, model.entries):
+        raise ValueError(f"not a fixpoint: it was built at other entries than this q = {model.q} model")
+    if fp.delta != delta:
+        raise ValueError(f"fixpoint spectrum was not computed at degree delta = {delta}, but at {fp.delta}")
     return fp
 
 
@@ -163,9 +165,9 @@ def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> 
         a.flags.writeable = False
     if structures is None:
         structures = [None] * len(R)
-    # each zipped row lists a Fixpoint's fields in declaration order
+    # each zipped row lists a Fixpoint's fields after model and delta, in declaration order
     fields = zip(R, alpha, jac, restricted, hessian, _stabilities(jac), residual.tolist(), structures)
-    return [Fixpoint(*row) for row in fields]
+    return [Fixpoint(model, delta, *row) for row in fields]
 
 
 def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None) -> Fixpoint:
@@ -303,9 +305,9 @@ def potts_fixpoints(q: int, delta: int, B: float) -> list[Fixpoint]:
     The last enumeration is kept: a second call at the same (q, delta, B),
     such as the phase diagram's followed by a caller's own, returns a new
     list of the same read-only Fixpoint objects.  A call that raises is not
-    kept.
+    kept.  B is taken as a float, so a 0-d array activity is one too.
     """
-    return list(_potts_fixpoints(q, delta, B))
+    return list(_potts_fixpoints(q, delta, float(B)))
 
 
 @functools.lru_cache(maxsize=1)

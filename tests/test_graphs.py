@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -259,6 +260,16 @@ def test_brute_gibbs_examples():
     proper = np.all(states[:, [0, 1, 0]] != states[:, [1, 2, 2]], axis=1)
     assert o3.Z == 6.0
     assert np.all(o3.weights[~proper] == 0.0)
+
+
+def test_gibbs_probabilities_reject_z_zero():
+    # a self-loop admits no proper 3-colouring, so every state weighs 0
+    o = brute_gibbs(pairing_sample(6, 3, seed=2), interaction_matrix(np.ones((3, 3)) - np.eye(3)))
+    assert o.Z == 0.0 and not o.weights.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^Z = 0: "):
+            o.probabilities()
 
 
 def test_brute_gibbs_phase_permutation_symmetry():

@@ -361,7 +361,7 @@ def test_dif_matches_direct_phi_difference():
 def test_small_graph_constants_ising():
     m = build_potts_matrix(2, 2.0)
     fp = treefix.make_fixpoint(m, 3, np.ones(2))
-    sg = small_graph_constants(3, fp)
+    sg = small_graph_constants(fp)
     assert np.allclose(sg.lam[:3], [1.0, 1.0, 4.0 / 3.0])
     assert abs(sg.ratio_limit - 3 / math.sqrt(7)) < 1e-12
     assert abs(sg.truncated_exp - sg.ratio_limit) < 1e-10
@@ -370,7 +370,7 @@ def test_small_graph_constants_ising():
 def test_small_graph_constants_potts():
     m = build_potts_matrix(3, 2.0)
     fp = treefix.make_fixpoint(m, 3, np.ones(3))
-    sg = small_graph_constants(3, fp)
+    sg = small_graph_constants(fp)
     assert abs(sg.ratio_limit - 64.0 / 49.0) < 1e-12  # mu = 1/4 twice
     assert abs(sg.truncated_exp - sg.ratio_limit) < 1e-10
 
@@ -379,7 +379,7 @@ def test_small_graph_rejects_non_dominant():
     m = build_potts_matrix(3, 4.5)  # uniform unstable above Brc
     fp = treefix.make_fixpoint(m, 3, np.ones(3))
     with pytest.raises(ValueError):
-        small_graph_constants(3, fp)
+        small_graph_constants(fp)
 
 
 def test_moment_report_potts():
@@ -524,7 +524,7 @@ def _two_row_phase_diagram(q, delta, B):
     model = build_potts_matrix(q, B)
     x = treefix.majority_ratio(q, delta, B)
     fps = treefix.two_value_fixpoints(model, delta, [(q, 1.0)] + ([] if x is None else [(1, x)]))
-    uniform, *ordered = [moments._phase_from_fixpoint(model, delta, fp) for fp in fps]
+    uniform, *ordered = [moments._phase_from_fixpoint(fp) for fp in fps]
     dif, psi1_max, ordered_orbit = -np.inf, uniform.psi1, []
     if x is not None:
         dif = moments._dif_of_ratio(q, delta, x)

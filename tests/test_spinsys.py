@@ -44,27 +44,11 @@ def test_potts_validation():
             build_potts_matrix(3, B)
 
 
-def test_potts_matrix_keeps_its_last_model():
-    build_potts_matrix.cache_clear()
-    m = build_potts_matrix(4, 2.5)
-    assert build_potts_matrix(4, 2.5) is m
-    with pytest.raises(ValueError, match="read-only"):
-        m.entries[0, 0] = 7.0
-    # another (q, B) replaces it; the model built after that is not stale
-    other = build_potts_matrix(3, 1.5)
-    assert other.q == 3 and other.entries[0, 0] == 1.5
-    again = build_potts_matrix(4, 2.5)
-    fresh = interaction_matrix(np.ones((4, 4)) + 1.5 * np.eye(4))
-    assert again.q == 4 and np.array_equal(again.entries, fresh.entries)
-    assert again.signature is fresh.signature
-    assert not again.entries.flags.writeable
-    # a rejected activity is never kept: it raises on every call
-    for _ in range(2):
-        with pytest.raises(ValueError, match="^Potts activity B must be positive$"):
-            build_potts_matrix(4, -2.5)
-        with pytest.raises(ValueError, match="^Potts activity B must be finite$"):
-            build_potts_matrix(4, float("nan"))
-    assert build_potts_matrix(4, 2.5) is again
+def test_potts_matrix_takes_a_0d_array_activity():
+    m, want = build_potts_matrix(3, np.array(2.0)), build_potts_matrix(3, 2.0)
+    assert m.entries.tobytes() == want.entries.tobytes() and m.entries.dtype == want.entries.dtype
+    assert (m.q, m.signature) == (want.q, want.signature)
+    assert not m.entries.flags.writeable
 
 
 def test_potts_matrix_matches_the_generic_constructor():

@@ -137,6 +137,52 @@ def test_jacobian_rejects_non_fixpoint():
         make_fixpoint(m, 3, [2.0, 1.0, 1.0])
 
 
+def _no_tree_step(*args):
+    raise AssertionError("classify_stability ran a tree step")
+
+
+def test_classify_stability_reads_the_record(monkeypatch):
+    """classify_stability checks the model and degree a fixpoint records, by
+    entries, and runs no tree step."""
+    cells = [(3, 3, 3.9), (5, 4, 3.0), (4, 6, 2.5), (10, 10, 2.2)]
+    found = {cell: potts_fixpoints(*cell) for cell in cells}
+    general = interaction_matrix([[3.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.5]])
+    found[(3, 3, None)] = find_fixpoints(general, 3)
+    monkeypatch.setattr(treefix, "tree_step", _no_tree_step)
+    for (q, delta, B), fps in found.items():
+        model = general if B is None else build_potts_matrix(q, B)
+        # an equal model built anew, by the generic constructor
+        equal = interaction_matrix(np.array(model.entries))
+        # a same-q model whose entries differ in one ulp of one diagonal entry
+        other = np.array(model.entries)
+        other[0, 0] = np.nextafter(other[0, 0], np.inf)
+        other = interaction_matrix(other)
+        assert fps
+        for fp in fps:
+            assert np.array_equal(fp.model.entries, model.entries) and fp.delta == delta
+            assert classify_stability(model, delta, fp) is fp
+            assert classify_stability(equal, delta, fp) is fp
+            with pytest.raises(ValueError, match="not a fixpoint"):
+                classify_stability(other, delta, fp)
+            with pytest.raises(ValueError, match=f"not computed at degree delta = {delta + 1}"):
+                classify_stability(model, delta + 1, fp)
+    with pytest.raises(ValueError, match="not a fixpoint"):
+        classify_stability(build_potts_matrix(4, 3.9), 3, found[(3, 3, 3.9)][0])
+
+
+def test_potts_fixpoints_take_a_0d_array_activity():
+    want = potts_fixpoints(3, 3, 4.5)
+    treefix._potts_fixpoints.cache_clear()
+    got = potts_fixpoints(3, 3, np.array(4.5))
+    assert len(got) == len(want) > 1
+    for a, b in zip(got, want):
+        assert a is not b
+        for x, y in [(a.model.entries, b.model.entries), (a.R, b.R), (a.alpha, b.alpha), (a.hessian_eigen, b.hessian_eigen)]:
+            assert x.tobytes() == y.tobytes()
+        assert (a.delta, a.stability, a.residual, a.potts_structure) == (b.delta, b.stability, b.residual, b.potts_structure)
+        assert type(a.potts_structure[1]) is float
+
+
 @pytest.mark.parametrize("q,delta,B", [(3, 3, 3.9), (5, 4, 3.0), (6, 3, 9.0), (10, 10, 2.2)])
 def test_batched_fixpoints_match_one_row_calls(q, delta, B):
     """Each row of a batched pass gets the bits it gets alone, and carries
