@@ -33,6 +33,7 @@ from .spinsys import (
     Signature,
     SizeGuardError,
     _check_simplex,
+    build_potts_matrix,
     cholesky_factor,
 )
 from . import treefix
@@ -499,9 +500,27 @@ def _dif_of_ratio(q: int, delta: int, x: float) -> float:
     )
 
 
+def _two_value_phi1(fp: Fixpoint) -> float:
+    """phi1 at a two-value Potts fixpoint with structure (t, x), in closed
+    form: phi1 is invariant under scaling R, so at (1_t, r 1_s) with r = 1/x
+    and s = q - t it is 0.5 Delta ln F - (Delta-1) ln(t + s r r^(1/(Delta-1))),
+    F the quadratic form there.  Scalar Python and libm only, as in
+    treefix.two_value_fixpoints."""
+    t, x = fp.potts_structure
+    s, r, d = fp.model.q - t, 1.0 / x, fp.delta - 1
+    form = treefix._two_value_form(float(fp.model.entries[0, 0]), t, s, r)
+    return 0.5 * fp.delta * math.log(form) - d * math.log(t + s * (r * r ** (1.0 / d)))
+
+
 def _phase_from_fixpoint(fp: Fixpoint, psi1_value=None) -> Phase:
-    """The phase at fp, with the stability and Hessian stored on it."""
-    val = phi1(fp.model, fp.delta, fp.R) if psi1_value is None else psi1_value
+    """The phase at fp, with the stability and Hessian stored on it.  Its
+    psi1 defaults to phi1 at fp, in closed form at a two-value Potts one."""
+    if psi1_value is not None:
+        val = psi1_value
+    elif fp.potts_structure is None:
+        val = phi1(fp.model, fp.delta, fp.R)
+    else:
+        val = _two_value_phi1(fp)
     return Phase(
         alpha=fp.alpha,
         psi1=val,
@@ -603,12 +622,13 @@ def small_graph_constants(fp: Fixpoint) -> SmallGraphConstants:
 
 
 def _as_potts(model: InteractionMatrix):
-    B = model.entries
-    q = model.q
-    off = B[~np.eye(q, dtype=bool)]
-    diag = np.diag(B)
-    if np.allclose(off, 1.0, atol=1e-12) and np.allclose(diag, diag[0], atol=1e-12):
-        return q, float(diag[0])
+    """(q, B) when the entries are exactly those of build_potts_matrix(q, B)
+    with B the first diagonal entry, else None.  Exactly: the Potts
+    fixpoints are closed forms in B, and record the rebuilt model, which
+    classify_stability then compares with this one entry for entry."""
+    B = float(model.entries[0, 0])
+    if B > 0 and np.array_equal(model.entries, build_potts_matrix(model.q, B).entries):
+        return model.q, B
     return None
 
 

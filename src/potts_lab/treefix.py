@@ -10,8 +10,9 @@ restricted to the orthogonal complement of that direction, and each restricted
 eigenvalue x contributes a free-energy Hessian eigenvalue (1+x)((Delta-1)x - 1).
 
 For the Potts model every fixpoint takes at most two distinct values, which
-reduces the fixpoint equations to one-dimensional root finding and yields the
-closed-form activity thresholds Bu < Bo < Brc.
+reduces the fixpoint equations to one-dimensional root finding, yields the
+closed-form activity thresholds Bu < Bo < Brc, and puts each fixpoint's
+record (R, alpha, spectrum, residual) in scalar closed form.
 """
 
 from __future__ import annotations
@@ -99,9 +100,12 @@ def _check_fixpoints(res: np.ndarray) -> None:
 
 def alpha_from_ratio(delta: int, R) -> np.ndarray:
     """Phase induced by a ratio vector (or each row of a stack):
-    alpha_i ~ R_i^(Delta/(Delta-1))."""
+    alpha_i ~ r_i^(Delta/(Delta-1)) with r = R / max R, taken as
+    r r^(1/(Delta-1)).  Raising r to the rounded Delta/(Delta-1) would cost
+    about |ln r| ulps; the rounded 1/(Delta-1) costs a fraction of that."""
     R = np.asarray(R, dtype=float)
-    a = (R / R.max(axis=-1, keepdims=True)) ** (delta / (delta - 1))
+    r = R / R.max(axis=-1, keepdims=True)
+    a = r * r ** (1.0 / (delta - 1))
     return a / a.sum(axis=-1, keepdims=True)
 
 
@@ -148,6 +152,21 @@ def classify_stability(model: InteractionMatrix, delta: int, fp: Fixpoint) -> Fi
     return fp
 
 
+def _fixpoints(model, delta, R, alpha, restricted, residual, structures) -> list[Fixpoint]:
+    """Fixpoint records from the k rows of R, alpha and restricted, with the
+    Jacobian, Hessian and stability label each row's restricted spectrum
+    gives."""
+    jac = (delta - 1) * restricted
+    hessian = (1.0 + restricted) * (jac - 1.0)
+    # a Fixpoint may be shared (potts_fixpoints keeps its last enumeration),
+    # so no caller can write to its arrays
+    for a in (R, alpha, jac, restricted, hessian):
+        a.flags.writeable = False
+    # each zipped row lists a Fixpoint's fields after model and delta, in declaration order
+    fields = zip(R, alpha, jac, restricted, hessian, _stabilities(jac), residual, structures)
+    return [Fixpoint(model, delta, *row) for row in fields]
+
+
 def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> list[Fixpoint]:
     """Fixpoints at the k ratio rows of R, shape (k, q), built in one batched
     pass; structures gives each row's potts_structure."""
@@ -156,31 +175,72 @@ def make_fixpoints(model: InteractionMatrix, delta: int, R, structures=None) -> 
     with np.errstate(**_UNSCALABLE):
         R = canonical(model, R)
         _, restricted, residual = _spectra(model, delta, R)
-    jac = (delta - 1) * restricted
-    hessian = (1.0 + restricted) * (jac - 1.0)
-    alpha = alpha_from_ratio(delta, R)
-    # a Fixpoint may be shared (potts_fixpoints keeps its last enumeration),
-    # so no caller can write to its arrays
-    for a in (R, alpha, jac, restricted, hessian):
-        a.flags.writeable = False
     if structures is None:
         structures = [None] * len(R)
-    # each zipped row lists a Fixpoint's fields after model and delta, in declaration order
-    fields = zip(R, alpha, jac, restricted, hessian, _stabilities(jac), residual.tolist(), structures)
-    return [Fixpoint(model, delta, *row) for row in fields]
+    return _fixpoints(model, delta, R, alpha_from_ratio(delta, R), restricted, residual.tolist(), structures)
 
 
 def make_fixpoint(model: InteractionMatrix, delta: int, R, potts_structure=None) -> Fixpoint:
     return make_fixpoints(model, delta, np.asarray(R, dtype=float)[None], [potts_structure])[0]
 
 
+def _two_value_form(B: float, t: int, s: int, r: float) -> float:
+    """The quadratic form sum_ij B_ij R_i R_j of Potts(q, B) at the row
+    R = (1_t, r 1_s), s = q - t."""
+    u = t + s * r
+    return (B - 1.0) * (t + s * r * r) + u * u
+
+
+def _two_value_canonical(B: float, t: int, s: int, r: float) -> tuple[float, float]:
+    """The two values (a, b) of canonical(1_t, r 1_s), each divided by the
+    square root of the form as canonical divides."""
+    root = math.sqrt(_two_value_form(B, t, s, r))
+    return 1.0 / root, r / root
+
+
 def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> list[Fixpoint]:
     """Potts fixpoints with t coordinates at ratio x and the rest at 1, one per
-    (t, x) in structures, built in one batched pass."""
-    R = np.ones((len(structures), model.q))
-    for row, (t, x) in zip(R, structures):
-        row[:t] = x
-    return make_fixpoints(model, delta, R, structures)
+    (t, x) in structures, where model is Potts(q, B) and B its diagonal.
+
+    Every field is a scalar closed form in (q, Delta, B, t, x), built with
+    Python float arithmetic and libm alone: no BLAS call or eigensolve runs,
+    so no field depends on the BLAS kernel or on numpy's SIMD dispatch.
+    make_fixpoints, the general builder, is this one's referee.  With
+    s = q - t and r = 1/x:
+      - R = (a 1_t, b 1_s) is canonical(1_t, r 1_s);
+      - the residual is one tree step on the two values, "not < tol"
+        rejecting NaN as _check_fixpoints does;
+      - alpha is (1_t, rho 1_s) / (t + s rho) with rho = r r^(1/(Delta-1));
+      - with c_x = B+t-1 + s r and c_1 = t + (B+s-1) r the entries of
+        B (1_t, r 1_s), M's restricted spectrum is (B-1)/c_x, t-1 times,
+        (B-1) r / c_1, s-1 times, and, when s >= 1, the trace of M on the
+        span of the two blocks, (B+t-1)/c_x + (B+s-1) r / c_1, less its
+        Perron value 1 (the S_t x S_s symmetry of R), in ascending order.
+    """
+    q = model.q
+    B = float(model.entries[0, 0])
+    d = delta - 1
+    rows, alphas, spectra, residual = [], [], [], []
+    for t, x in structures:
+        s = q - t
+        r = 1.0 / x
+        a, b = _two_value_canonical(B, t, s, r)
+        u, v = (B + t - 1.0) * a + s * b, t * a + (B + s - 1.0) * b
+        ta, tb = _two_value_canonical(B, t, s, (v / u) ** d)
+        residual.append(max(abs(ta - a), abs(tb - b)) if s else abs(ta - a))
+        rho = r * r ** (1.0 / d)
+        norm = t + s * rho
+        rows.append([a] * t + [b] * s)
+        alphas.append([1.0 / norm] * t + [rho / norm] * s)
+        cx, c1 = B + t - 1.0 + s * r, t + (B + s - 1.0) * r
+        spectrum = [(B - 1.0) / cx] * (t - 1) + [(B - 1.0) * r / c1] * (s - 1)
+        if s:
+            spectrum.append((B + t - 1.0) / cx + (B + s - 1.0) * r / c1 - 1.0)
+        spectra.append(sorted(spectrum))
+    _check_fixpoints(np.array(residual))
+    return _fixpoints(
+        model, delta, np.array(rows), np.array(alphas), np.array(spectra).reshape(-1, q - 1), residual, structures
+    )
 
 
 def _bisect(f, lo: float, hi: float) -> float:

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -27,10 +30,10 @@ from potts_lab.moments import (
 from potts_lab.spinsys import Phase, SizeGuardError, build_potts_matrix, cholesky_factor, interaction_matrix
 
 
-# re-recorded once canonical divided each row by its max and the restricted
-# spectrum came from deflating M's Perron eigenvalue; a phase query that
+# re-recorded once the Potts fixpoints and phase psi1 became scalar closed
+# forms, which no BLAS kernel or SIMD dispatch moves; a phase query that
 # rebuilds nothing must not move a single output bit
-PINNED_PHASE_QUERY_DIGEST = "b21311660995876785630d14a43580182a7a289da214fc9cc257961e6945904c"
+PINNED_PHASE_QUERY_DIGEST = "51554216aaf0120bde172bde9954d0a533db40b59b760129a0f5733dcc0ae20d"
 
 
 def _majority_fixpoint(q, delta, B):
@@ -392,6 +395,21 @@ def test_moment_report_potts():
     assert len(rep.dominant) == 1
 
 
+def test_only_exact_potts_entries_take_the_potts_closed_forms():
+    # the Potts fixpoints record the rebuilt model, so a model Potts only to
+    # within rounding takes the general search, whose fixpoints record it
+    entries = np.ones((3, 3)) + 1.5 * np.eye(3)
+    near = interaction_matrix(entries + 1e-13 * (np.ones((3, 3)) - np.eye(3)))
+    assert moments._as_potts(interaction_matrix(entries)) == (3, 2.5)
+    assert moments._as_potts(near) is None
+    assert moments._as_potts(colorings_matrix()) is None
+    for model in (interaction_matrix(entries), near):
+        fps = moments.all_fixpoints(model, 3)
+        assert fps
+        for fp in fps:
+            assert treefix.classify_stability(model, 3, fp) is fp
+
+
 def test_moment_report_ordered_regime():
     m = build_potts_matrix(3, 4.2)
     rep = moment_report(m, 3, compute_psi2=False)
@@ -413,9 +431,10 @@ def test_sinkhorn_raises_when_the_support_cannot_carry_the_marginals():
 def test_criterion_4_cells_match_pinned_values(criterion_4_run):
     # checked on criterion 4's own moment reports (see conftest.py);
     # recorded with one norm ascent per start and re-recorded once the
-    # two-value roots came from the activity curve's minima and once more
-    # (one cell) when canonical divided by the max first; stepping the starts as one
-    # array may move the norm in its last bits, psi1 and psi2 not at all
+    # two-value roots came from the activity curve's minima, once more
+    # (one cell) when canonical divided by the max first, and once more (six
+    # cells) when the Potts fixpoints became closed forms; stepping the starts
+    # as one array may move the norm in its last bits, psi1 and psi2 not at all
     reports = criterion_4_run[1]
     cells = json.loads((Path(__file__).parent / "pinned_moment_cells.json").read_text())
     assert len(cells) == len(reports) == 24
@@ -505,7 +524,7 @@ def test_phase_diagram_hessians_are_classify_stability_bits(q, delta):
         pd = potts_phase_diagram(q, delta, B)
         assert pd.regime == regime
         model = build_potts_matrix(q, B)
-        uniform = treefix.make_fixpoint(model, delta, np.ones(q), potts_structure=(q, 1.0))
+        uniform = treefix.two_value_fixpoints(model, delta, [(q, 1.0)])[0]
         want = {True: treefix.classify_stability(model, delta, uniform).hessian_eigen}
         maj = _majority_fixpoint(q, delta, B)
         if maj is not None:
@@ -606,6 +625,19 @@ def _phase_query_digest() -> str:
 
 def test_phase_queries_match_pinned_digest():
     assert _phase_query_digest() == PINNED_PHASE_QUERY_DIGEST
+
+
+def test_phase_query_digest_holds_under_another_blas_kernel_and_simd_dispatch():
+    """A child process with numpy's bundled OpenBLAS forced to its Haswell
+    kernel and numpy's AVX512 dispatch switched off (tools/dispatch_matrix.py's
+    "both" setting) computes the pinned digest: the phase-query path runs no
+    BLAS call and no SIMD transcendental."""
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    code = "import test_moments; print(test_moments._phase_query_digest())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == PINNED_PHASE_QUERY_DIGEST
 
 
 def test_moment_report_says_when_no_fixpoint_is_found():

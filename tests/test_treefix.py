@@ -185,21 +185,20 @@ def test_potts_fixpoints_take_a_0d_array_activity():
 
 @pytest.mark.parametrize("q,delta,B", [(3, 3, 3.9), (5, 4, 3.0), (6, 3, 9.0), (10, 10, 2.2)])
 def test_batched_fixpoints_match_one_row_calls(q, delta, B):
-    """Each row of a batched pass gets the bits it gets alone, and carries
-    the spectrum a one-row pass takes at its stored R: jacobian_eigen is
-    (Delta-1) times that restricted spectrum, bit for bit, and hessian_eigen,
-    which classify_stability returns, is (1 + x)((Delta-1)x - 1) of it."""
+    """Each row of a batched pass gets the bits it gets alone: jacobian_eigen
+    is (Delta-1) times the restricted spectrum, bit for bit, and
+    hessian_eigen, which classify_stability returns, is (1 + x)((Delta-1)x - 1)
+    of it.  The general builder referees these rows on the phase grid."""
     m = build_potts_matrix(q, B)
     fps = potts_fixpoints(q, delta, B)
     assert len(fps) > 1
     for fp in fps:
         assert fp.jacobian_eigen.tobytes() == ((delta - 1) * fp.restricted_spectrum).tobytes()
-        assert treefix._spectra(m, delta, fp.R[None])[1][0].tobytes() == fp.restricted_spectrum.tobytes()
-        t, x = fp.potts_structure
-        one = make_fixpoint(m, delta, np.concatenate([np.full(t, x), np.ones(q - t)]), (t, x))
+        one = two_value_fixpoints(m, delta, [fp.potts_structure])[0]
         for a, b in [
             (fp.R, one.R),
             (fp.alpha, one.alpha),
+            (fp.restricted_spectrum, one.restricted_spectrum),
             (fp.jacobian_eigen, one.jacobian_eigen),
             (fp.hessian_eigen, one.hessian_eigen),
             (fp.hessian_eigen, classify_stability(m, delta, fp).hessian_eigen),
@@ -327,17 +326,35 @@ def _qr_spectra(model, delta, R):
 def _assert_spectra_match_the_qr_referee(model, delta, fps):
     R = np.array([fp.R for fp in fps])
     assert np.abs(np.array([fp.restricted_spectrum for fp in fps]) - _qr_spectra(model, delta, R)).max() <= 2e-15
-    for fp in fps:
-        assert fp.residual == treefix._residuals(model, delta, fp.R[None])[0]
 
 
-def test_perron_deflation_matches_the_qr_complement_on_the_phase_grid():
+def test_closed_form_fixpoints_match_their_referees_on_the_phase_grid():
+    """Every closed-form fixpoint of the phase grid against make_fixpoints at
+    its (t, x) row: R within 1e-15 (its entries are at most 1), alpha within
+    4e-15 relative (a few ulps: the two builders sum and normalise in other
+    orders), the spectrum within 2e-15 of the QR complement, a residual under
+    the fixpoint tolerance, the same stability label, and the phase's psi1
+    within 1e-14 of phi1 at the referee's R (both subtract terms up to about
+    25, whose ulp is 3.6e-15)."""
     count = 0
     for q in range(3, 11):
         for delta in range(3, 11):
             for B in np.linspace(1.05, 2 * potts_thresholds(q, delta).Brc, 20):
+                model = build_potts_matrix(q, float(B))
                 fps = potts_fixpoints(q, delta, float(B))
-                _assert_spectra_match_the_qr_referee(build_potts_matrix(q, float(B)), delta, fps)
+                rows = np.ones((len(fps), q))
+                for row, fp in zip(rows, fps):
+                    t, x = fp.potts_structure
+                    row[:t] = x
+                refs = treefix.make_fixpoints(model, delta, rows, [fp.potts_structure for fp in fps])
+                _assert_spectra_match_the_qr_referee(model, delta, fps)
+                for fp, ref in zip(fps, refs):
+                    assert np.abs(fp.R - ref.R).max() <= 1e-15
+                    assert np.abs(fp.alpha / ref.alpha - 1.0).max() <= 4e-15
+                    assert fp.residual < treefix.FIXPOINT_RESIDUAL_TOL
+                    assert fp.stability == ref.stability
+                    psi1 = moments._phase_from_fixpoint(fp).psi1
+                    assert abs(psi1 - moments.phi1(model, delta, ref.R)) <= 1e-14
                 count += len(fps)
     assert count == 6051
 
@@ -362,6 +379,8 @@ def test_perron_deflation_matches_the_qr_complement_on_general_models():
             fps += find_fixpoints(model, delta)
             assert fps, (name, delta)
             _assert_spectra_match_the_qr_referee(model, delta, fps)
+            for fp in fps:
+                assert fp.residual == treefix._residuals(model, delta, fp.R[None])[0]
 
 
 def test_potts_fixpoints_keeps_its_last_enumeration():
@@ -394,11 +413,13 @@ def test_potts_fixpoints_keeps_its_last_enumeration():
 
 def test_phase_query_enumerates_fixpoints_once(monkeypatch):
     """A phase diagram followed by potts_fixpoints at the same activity finds
-    the roots of every t once and builds the fixpoints in one batched pass."""
-    calls, passes = [], []
-    real_roots, real_make = treefix.two_value_roots, treefix.make_fixpoints
+    the roots of every t once and builds the fixpoints in one closed-form
+    pass, with no call to the general builder."""
+    calls, passes, general = [], [], []
+    real_roots, real_build, real_make = treefix.two_value_roots, treefix.two_value_fixpoints, treefix.make_fixpoints
     monkeypatch.setattr(treefix, "two_value_roots", lambda *a: calls.append(a) or real_roots(*a))
-    monkeypatch.setattr(treefix, "make_fixpoints", lambda *a: passes.append(a) or real_make(*a))
+    monkeypatch.setattr(treefix, "two_value_fixpoints", lambda *a: passes.append(a) or real_build(*a))
+    monkeypatch.setattr(treefix, "make_fixpoints", lambda *a: general.append(a) or real_make(*a))
     for q, delta, B in [(3, 3, 4.5), (6, 4, 5.0), (10, 5, 1.5)]:
         calls.clear()
         passes.clear()
@@ -406,7 +427,7 @@ def test_phase_query_enumerates_fixpoints_once(monkeypatch):
         pd = moments.potts_phase_diagram(q, delta, B)
         potts_fixpoints(q, delta, B)
         assert pd.local_maxima
-        assert calls == [(q, delta, B, t) for t in range(1, q)] and len(passes) == 1
+        assert calls == [(q, delta, B, t) for t in range(1, q)] and len(passes) == 1 and not general
 
 
 def test_two_value_roots_reach_activities_past_the_old_grid():
