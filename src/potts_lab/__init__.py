@@ -28,7 +28,6 @@ from .moments import (
     first_moment_exact,
     matrix_norm_p2,
     moment_report,
-    phi1,
     potts_phase_diagram,
     psi1,
     psi2,

@@ -157,16 +157,6 @@ def psi1(model: InteractionMatrix, delta: int, alpha) -> float:
     return -np.inf if sol is None else _psi1_of_g1(delta, alpha, sol[1])
 
 
-def phi1(model: InteractionMatrix, delta: int, R) -> float:
-    """Free-energy functional on ratio vectors; agrees with psi1 at fixpoints."""
-    R = np.asarray(R, dtype=float)
-    B = model.entries
-    p = delta / (delta - 1.0)
-    return 0.5 * delta * math.log(float(R @ B @ R)) - (delta - 1) * math.log(
-        float(np.sum(R**p))
-    )
-
-
 # ---------------------------------------------------------------------------
 # induced matrix norm  ||Bhat||_{p -> 2}
 # ---------------------------------------------------------------------------
@@ -500,27 +490,11 @@ def _dif_of_ratio(q: int, delta: int, x: float) -> float:
     )
 
 
-def _two_value_phi1(fp: Fixpoint) -> float:
-    """phi1 at a two-value Potts fixpoint with structure (t, x), in closed
-    form: phi1 is invariant under scaling R, so at (1_t, r 1_s) with r = 1/x
-    and s = q - t it is 0.5 Delta ln F - (Delta-1) ln(t + s r r^(1/(Delta-1))),
-    F the quadratic form there.  Scalar Python and libm only, as in
-    treefix.two_value_fixpoints."""
-    t, x = fp.potts_structure
-    s, r, d = fp.model.q - t, 1.0 / x, fp.delta - 1
-    form = treefix._two_value_form(float(fp.model.entries[0, 0]), t, s, r)
-    return 0.5 * fp.delta * math.log(form) - d * math.log(t + s * (r * r ** (1.0 / d)))
-
-
 def _phase_from_fixpoint(fp: Fixpoint, psi1_value=None) -> Phase:
     """The phase at fp, with the stability and Hessian stored on it.  Its
-    psi1 defaults to phi1 at fp, in closed form at a two-value Potts one."""
-    if psi1_value is not None:
-        val = psi1_value
-    elif fp.potts_structure is None:
-        val = phi1(fp.model, fp.delta, fp.R)
-    else:
-        val = _two_value_phi1(fp)
+    psi1 is psi1_value, or by default phi1 in closed form at a two-value
+    Potts fixpoint (treefix.two_value_phi1)."""
+    val = treefix.two_value_phi1(fp) if psi1_value is None else psi1_value
     return Phase(
         alpha=fp.alpha,
         psi1=val,

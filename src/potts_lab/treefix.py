@@ -198,6 +198,25 @@ def _two_value_canonical(B: float, t: int, s: int, r: float) -> tuple[float, flo
     return 1.0 / root, r / root
 
 
+def _two_value_rho(r: float, d: int) -> float:
+    """alpha's small-to-large ratio at (1_t, r 1_s), r^(Delta/(Delta-1)) taken
+    as r r^(1/(Delta-1)) with d = Delta - 1, as alpha_from_ratio takes it."""
+    return r * r ** (1.0 / d)
+
+
+def two_value_phi1(fp: Fixpoint) -> float:
+    """The ratio functional
+    phi1(R) = 0.5 Delta ln(sum_ij B_ij R_i R_j) - (Delta-1) ln sum_i R_i^(Delta/(Delta-1)),
+    which equals psi1 at a fixpoint's phase, at a two-value Potts fixpoint
+    with structure (t, x), in closed form: phi1 is invariant under scaling
+    R, so at (1_t, r 1_s) with r = 1/x and s = q - t it is
+    0.5 Delta ln F - (Delta-1) ln(t + s rho), F the form there and rho as in
+    two_value_fixpoints."""
+    t, x = fp.potts_structure
+    B, s, r, d = float(fp.model.entries[0, 0]), fp.model.q - t, 1.0 / x, fp.delta - 1
+    return 0.5 * fp.delta * math.log(_two_value_form(B, t, s, r)) - d * math.log(t + s * _two_value_rho(r, d))
+
+
 def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> list[Fixpoint]:
     """Potts fixpoints with t coordinates at ratio x and the rest at 1, one per
     (t, x) in structures, where model is Potts(q, B) and B its diagonal.
@@ -228,7 +247,7 @@ def two_value_fixpoints(model: InteractionMatrix, delta: int, structures) -> lis
         u, v = (B + t - 1.0) * a + s * b, t * a + (B + s - 1.0) * b
         ta, tb = _two_value_canonical(B, t, s, (v / u) ** d)
         residual.append(max(abs(ta - a), abs(tb - b)) if s else abs(ta - a))
-        rho = r * r ** (1.0 / d)
+        rho = _two_value_rho(r, d)
         norm = t + s * rho
         rows.append([a] * t + [b] * s)
         alphas.append([1.0 / norm] * t + [rho / norm] * s)

@@ -20,7 +20,6 @@ from potts_lab.moments import (
     first_moment_exact,
     matrix_norm_p2,
     moment_report,
-    phi1,
     potts_phase_diagram,
     psi1,
     psi2,
@@ -104,7 +103,7 @@ def test_psi1_closed_forms():
     assert abs(psi1(m1, 3, [1.0, 0.0, 0.0])) < 1e-12
 
 
-def test_phi1_matches_psi1_at_fixpoints():
+def test_phi1_matches_psi1_at_fixpoints(phi1):
     for q, delta, B in [(3, 3, 2.0), (3, 3, 3.9), (4, 4, 3.0), (6, 3, 6.0)]:
         m = build_potts_matrix(q, B)
         for fp in treefix.potts_fixpoints(q, delta, B):
@@ -352,7 +351,7 @@ def test_dif_monotone_sample():
     assert all(b > a for a, b in zip(difs, difs[1:]))
 
 
-def test_dif_matches_direct_phi_difference():
+def test_dif_matches_direct_phi_difference(phi1):
     # independent route: evaluate the ratio functional at both fixpoints
     q, delta, B = 3, 3, 3.9
     m = build_potts_matrix(q, B)
@@ -410,7 +409,7 @@ def test_only_exact_potts_entries_take_the_potts_closed_forms():
             assert treefix.classify_stability(model, 3, fp) is fp
 
 
-def test_moment_report_ordered_regime():
+def test_moment_report_ordered_regime(phi1):
     m = build_potts_matrix(3, 4.2)
     rep = moment_report(m, 3, compute_psi2=False)
     maj = _majority_fixpoint(3, 3, 4.2)

@@ -328,7 +328,7 @@ def _assert_spectra_match_the_qr_referee(model, delta, fps):
     assert np.abs(np.array([fp.restricted_spectrum for fp in fps]) - _qr_spectra(model, delta, R)).max() <= 2e-15
 
 
-def test_closed_form_fixpoints_match_their_referees_on_the_phase_grid():
+def test_closed_form_fixpoints_match_their_referees_on_the_phase_grid(phi1):
     """Every closed-form fixpoint of the phase grid against make_fixpoints at
     its (t, x) row: R within 1e-15 (its entries are at most 1), alpha within
     4e-15 relative (a few ulps: the two builders sum and normalise in other
@@ -354,7 +354,7 @@ def test_closed_form_fixpoints_match_their_referees_on_the_phase_grid():
                     assert fp.residual < treefix.FIXPOINT_RESIDUAL_TOL
                     assert fp.stability == ref.stability
                     psi1 = moments._phase_from_fixpoint(fp).psi1
-                    assert abs(psi1 - moments.phi1(model, delta, ref.R)) <= 1e-14
+                    assert abs(psi1 - phi1(model, delta, ref.R)) <= 1e-14
                 count += len(fps)
     assert count == 6051
 
